@@ -111,18 +111,9 @@ def _write_json(series: TruncatedSeries) -> None:
     sys.stdout.write("[\n" + body + "\n]\n")
 
 
-def _first_mismatch(a: TruncatedSeries, b: TruncatedSeries):
-    for key in sorted(set(a.terms) | set(b.terms)):
-        ca = a.terms.get(key, 0)
-        cb = b.terms.get(key, 0)
-        if ca != cb:
-            return key, ca, cb
-    return None
-
-
 def _report_compare(name_a: str, a: TruncatedSeries, name_b: str, b: TruncatedSeries,
                     label: str) -> int:
-    miss = _first_mismatch(a, b)
+    miss = a.first_mismatch(b)
     if miss is None:
         print(f"{label}: ok (qmax={a.trunc}, {len(a)} coefficients)")
         return 0

@@ -13,15 +13,23 @@ is taken against zero.  For the level-k standard module the sequence lengths
 are capped at k (color 1) and 3k (color 2) -- equivalently, quasi-particle
 charges are capped at k and 3k.  The generalized Verma module has no caps.
 
-Enumeration of the index set is exact: a pair contributes within truncation
-qmax iff total_exponent <= qmax, and the search is pruned with the block
-lower bound described in `enumerate_dual_charge_types`.
+The sum is evaluated block by block, never listing the index set.  Block s
+pairs the color-1 count a = r1^(s) with the color-2 counts
+x >= y >= z = r2^(3s-2), r2^(3s-1), r2^(3s) (zero past the end of either
+sequence).  Its share of the exponent, a^2 + x^2 + y^2 + z^2 - a(x+y+z), and
+every Pochhammer difference involve only the block and its predecessor's
+a and z, so the whole sum is a recursion that appends one nonzero block at a
+time.  A pair (r1, r2) has at most k blocks iff len(r1) <= k and
+len(r2) <= 3k, so the level-k caps become "at most k blocks".
+
+`enumerate_dual_charge_types` lists the index set explicitly; the
+quasi-particle enumeration builds on it, the fermionic sum does not.
 """
 
 from dataclasses import dataclass
 
-from .partitions import DualChargeType, Partition, total_exponent
-from .series import TruncatedSeries
+from .partitions import DualChargeType
+from .series import TruncatedSeries, validate_trunc
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,11 @@ class ModuleSpec:
     level: int | None = None
 
     def __post_init__(self):
-        if self.level is not None and self.level < 1:
+        if self.level is None:
+            return
+        if not isinstance(self.level, int) or isinstance(self.level, bool):
+            raise TypeError(f"level must be an int or None, got {self.level!r}")
+        if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
 
     @classmethod
@@ -159,47 +171,116 @@ def enumerate_dual_charge_types(spec: ModuleSpec, qmax: int) -> list[DualChargeT
     return out
 
 
-def _difference_multiset(r: Partition) -> tuple[int, ...]:
-    # nonzero consecutive differences, last entry taken against 0;
-    # zero differences contribute (q)_0 = 1 and are dropped
-    if not r:
-        return ()
-    diffs = [r[i] - r[i + 1] for i in range(len(r) - 1)]
-    diffs.append(r[-1])
-    return tuple(sorted(d for d in diffs if d))
+def _next_blocks(a: int | None, pz: int | None, budget: int):
+    """Yield (a2, x, y, z, e) for every nonzero block that may follow a block
+    with color-1 count a and last color-2 count pz (both None before the
+    first block: no bound), where e = a2^2 + x^2 + y^2 + z^2 - a2(x+y+z) is
+    the block's exponent share and e <= budget.
+
+    With f(t) = t^2 - a2*t the share is a2^2 + f(x) + f(y) + f(z).  f falls
+    to its minimum at t = a2 // 2 and rises after it, so the entries still
+    to choose, each at most the last one chosen, cost at least f at the
+    smaller of that entry and a2 // 2.  Every prefix is pruned with that
+    bound, which also ends the unbounded loops.
+    """
+    a2 = 0
+    while a is None or a2 <= a:
+        h = a2 // 2
+        fh = h * h - a2 * h
+        room = budget - a2 * a2  # what f(x) + f(y) + f(z) may add up to
+        if 3 * fh > room:
+            break  # the cheapest block, ceil(a2^2 / 4), grows with a2
+        x = 0 if a2 else 1
+        while pz is None or x <= pz:
+            fx = x * x - a2 * x
+            t = min(x, h)
+            if fx + 2 * (t * t - a2 * t) > room:
+                if x >= h:
+                    break
+                x += 1
+                continue
+            for y in range(x + 1):
+                fy = y * y - a2 * y
+                t = min(y, h)
+                if fx + fy + t * t - a2 * t > room:
+                    continue
+                for z in range(y + 1):
+                    e = a2 * a2 + fx + fy + z * z - a2 * z
+                    if e <= budget:
+                        yield a2, x, y, z, e
+            x += 1
+        a2 += 1
 
 
 def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     """Evaluate the fermionic character sum, truncated at q^qmax.
 
-    The Pochhammer denominators of one index pair depend only on the multiset
-    of consecutive differences of its count sequences, so their expansions
-    are shared across pairs.  Each expansion is the coefficient list of
-    prod_d 1/(q)_d, computed by the standard in-place geometric pass: one
-    sweep c[j] += c[j-i] per factor 1/(1-q^i).
+    A state is (a, z, y1 degree, y2 degree, blocks left) after one or more
+    nonzero blocks: a and z are the last block's color-1 count and last
+    color-2 count, and blocks left is None without a cap.  It holds the
+    q-coefficient list of the sum over every block sequence reaching it,
+    with the Pochhammer factors of the differences inside that sequence.  A
+    step appends a block (a', x, y, z') with a' <= a and x <= z, multiplying
+    by q^(its exponent share) and by 1/(q)_d for the new differences
+    a - a', z - x, x - y, y - z'.  Closing a state multiplies by
+    1/(q)_a (q)_z, the last differences taken against zero.
+
+    Every nonzero block raises y1 + y2, so taking states in increasing
+    y1 + y2 closes each one after everything that feeds it.  Each product
+    prod_d 1/(q)_d is expanded once per sorted multiset of differences, by
+    the in-place geometric pass: one sweep c[j] += c[j-i] per factor
+    1/(1-q^i).
     """
-    terms: dict[tuple[int, int, int], int] = {}
+    validate_trunc(qmax)
     cache: dict[tuple[int, ...], list[int]] = {}
 
-    def poch_expansion(diffs: tuple[int, ...]) -> list[int]:
-        coeffs = cache.get(diffs)
-        if coeffs is None:
-            coeffs = [1] + [0] * qmax
-            for d in diffs:
+    def add_product(dst: list[int], src: list[int], lo: int, shift: int,
+                    diffs: tuple[int, ...]) -> None:
+        # dst += q^shift * src * prod_d 1/(q)_d through q^qmax; src[:lo] is 0
+        key = tuple(sorted(d for d in diffs if d))
+        poch = cache.get(key)
+        if poch is None:
+            poch = [1] + [0] * qmax
+            for d in key:
                 for i in range(1, d + 1):
                     for j in range(i, qmax + 1):
-                        coeffs[j] += coeffs[j - i]
-            cache[diffs] = coeffs
-        return coeffs
-
-    for d in enumerate_dual_charge_types(spec, qmax):
-        e = total_exponent(d)
-        y1, y2 = sum(d.r1), sum(d.r2)
-        diffs = tuple(sorted(_difference_multiset(d.r1) + _difference_multiset(d.r2)))
-        coeffs = poch_expansion(diffs)
-        for i in range(qmax - e + 1):
-            c = coeffs[i]
+                        poch[j] += poch[j - i]
+            cache[key] = poch
+        top = qmax - shift
+        for j in range(lo, top + 1):
+            c = src[j]
             if c:
-                key = (e + i, y1, y2)
-                terms[key] = terms.get(key, 0) + c
+                base = j + shift
+                for i in range(top - j + 1):
+                    dst[base + i] += c * poch[i]
+
+    # states keyed by y1 + y2 degree; the start state has no block yet
+    layers = {0: {(None, None, 0, 0, spec.level): [1] + [0] * qmax}}
+    totals: dict[tuple[int, int], list[int]] = {}
+    while layers:
+        for (a, pz, u, v, left), coeffs in layers.pop(min(layers)).items():
+            lo = next(j for j, c in enumerate(coeffs) if c)
+            total = totals.setdefault((u, v), [0] * (qmax + 1))
+            add_product(total, coeffs, lo, 0, () if a is None else (a, pz))
+            if left == 0:
+                continue
+            nleft = None if left is None else left - 1
+            for a2, x, y, z, e in _next_blocks(a, pz, qmax - lo):
+                if a is None:
+                    diffs = (x - y, y - z)
+                else:
+                    diffs = (a - a2, pz - x, x - y, y - z)
+                nu, nv = u + a2, v + x + y + z
+                layer = layers.setdefault(nu + nv, {})
+                key = (a2, z, nu, nv, nleft)
+                dst = layer.get(key)
+                if dst is None:
+                    dst = layer[key] = [0] * (qmax + 1)
+                add_product(dst, coeffs, lo, e, diffs)
+    terms = {
+        (q, u, v): c
+        for (u, v), total in totals.items()
+        for q, c in enumerate(total)
+        if c
+    }
     return TruncatedSeries(qmax, terms)

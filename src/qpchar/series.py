@@ -43,6 +43,14 @@ class SeriesKey(NamedTuple):
 KeyLike = SeriesKey | tuple[int, int, int]
 
 
+def validate_trunc(trunc) -> None:
+    """Raise unless `trunc` is a truncation order: an int (not a bool) >= 0."""
+    if not isinstance(trunc, int) or isinstance(trunc, bool):
+        raise TypeError(f"truncation order must be an int, got {trunc!r}")
+    if trunc < 0:
+        raise ValueError(f"truncation order must be >= 0, got {trunc}")
+
+
 class TruncatedSeries:
     """Sparse integer series truncated at q^trunc.
 
@@ -53,8 +61,7 @@ class TruncatedSeries:
     __slots__ = ("trunc", "terms")
 
     def __init__(self, trunc: int, terms: Mapping[KeyLike, int] | None = None):
-        if trunc < 0:
-            raise ValueError(f"truncation order must be >= 0, got {trunc}")
+        validate_trunc(trunc)
         clean: dict[SeriesKey, int] = {}
         if terms:
             for key, c in terms.items():
@@ -111,6 +118,16 @@ class TruncatedSeries:
                 key = (q, u1 + u2, v1 + v2)
                 out[key] = out.get(key, 0) + c1 * c2
         return TruncatedSeries(trunc, out)
+
+    def first_mismatch(self, other: "TruncatedSeries") -> tuple[SeriesKey, int, int] | None:
+        """The lexicographically first key where the two series differ, with
+        this series' and the other's coefficient there; None if equal."""
+        self._check_compatible(other)
+        for key in sorted(self.terms.keys() | other.terms.keys()):
+            ca, cb = self.terms.get(key, 0), other.terms.get(key, 0)
+            if ca != cb:
+                return key, ca, cb
+        return None
 
     def _check_compatible(self, other) -> None:
         if not isinstance(other, TruncatedSeries):

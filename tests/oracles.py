@@ -4,14 +4,18 @@ Everything here is deliberately naive: plain dict convolution, box searches
 over provably sufficient finite ranges, one-variable DP recurrences.  None
 of it reuses the library's enumeration or series machinery beyond the
 validator `is_valid` (the mode-search oracle is by definition an exhaustive
-scan within that validator's bounds).
+scan within that validator's bounds) and the index-set enumerator behind
+`pair_sum_character`, the pair-by-pair form of the fermionic sum that the
+block recursion replaced.
 """
 
 import itertools
 from math import isqrt
 
+from qpchar.fermionic import enumerate_dual_charge_types
 from qpchar.partitions import DualChargeType, total_exponent
 from qpchar.qp_enum import QPMonomial, is_valid
+from qpchar.series import TruncatedSeries
 
 
 def brute_mul(a_terms: dict, b_terms: dict, trunc: int) -> dict:
@@ -61,6 +65,53 @@ def brute_dual_charge_types(level: int | None, qmax: int) -> set[DualChargeType]
             if total_exponent(d) <= qmax:
                 out.add(d)
     return out
+
+
+def _difference_multiset(r) -> tuple[int, ...]:
+    # nonzero consecutive differences, last entry taken against 0;
+    # zero differences contribute (q)_0 = 1 and are dropped
+    if not r:
+        return ()
+    diffs = [r[i] - r[i + 1] for i in range(len(r) - 1)]
+    diffs.append(r[-1])
+    return tuple(sorted(d for d in diffs if d))
+
+
+def pair_sum_character(spec, qmax: int) -> TruncatedSeries:
+    """The fermionic sum evaluated pair by pair over the explicit index set
+    from `enumerate_dual_charge_types`.
+
+    The Pochhammer denominators of one index pair depend only on the multiset
+    of consecutive differences of its count sequences, so their expansions
+    are shared across pairs.  Each expansion is the coefficient list of
+    prod_d 1/(q)_d, computed by the in-place geometric pass: one sweep
+    c[j] += c[j-i] per factor 1/(1-q^i).
+    """
+    terms: dict[tuple[int, int, int], int] = {}
+    cache: dict[tuple[int, ...], list[int]] = {}
+
+    def poch_expansion(diffs: tuple[int, ...]) -> list[int]:
+        coeffs = cache.get(diffs)
+        if coeffs is None:
+            coeffs = [1] + [0] * qmax
+            for d in diffs:
+                for i in range(1, d + 1):
+                    for j in range(i, qmax + 1):
+                        coeffs[j] += coeffs[j - i]
+            cache[diffs] = coeffs
+        return coeffs
+
+    for d in enumerate_dual_charge_types(spec, qmax):
+        e = total_exponent(d)
+        y1, y2 = sum(d.r1), sum(d.r2)
+        diffs = tuple(sorted(_difference_multiset(d.r1) + _difference_multiset(d.r2)))
+        coeffs = poch_expansion(diffs)
+        for i in range(qmax - e + 1):
+            c = coeffs[i]
+            if c:
+                key = (e + i, y1, y2)
+                terms[key] = terms.get(key, 0) + c
+    return TruncatedSeries(qmax, terms)
 
 
 def brute_basis_series(spec, qmax: int) -> dict:

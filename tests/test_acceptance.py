@@ -27,14 +27,6 @@ def _ok(num: int, msg: str, clock: _Clock) -> None:
     print(f"[PASS] criterion {num} ({clock.elapsed:.2f}s): {msg}")
 
 
-def _first_mismatch(a, b):
-    for key in sorted(set(a.terms) | set(b.terms)):
-        ca, cb = a.terms.get(key, 0), b.terms.get(key, 0)
-        if ca != cb:
-            return tuple(key), ca, cb
-    return None
-
-
 def test_criterion_1_euler_cauchy_identity():
     with _Clock() as c:
         prod = product_side(12)
@@ -82,7 +74,7 @@ def test_criterion_6_stabilization():
         verma = character_fermionic(V, 8)
         assert character_fermionic(ModuleSpec.standard(8), 8) == verma
         level1 = character_fermionic(ModuleSpec.standard(1), 8)
-        mismatch = _first_mismatch(level1, verma)
+        mismatch = level1.first_mismatch(verma)
         assert mismatch is not None
         key, c1, cv = mismatch
         assert key[0] <= 2

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_dual_charge_types
+from oracles import brute_dual_charge_types, pair_sum_character
 from qpchar.fermionic import ModuleSpec, character_fermionic, enumerate_dual_charge_types
 from qpchar.partitions import DualChargeType, total_exponent, validate_partition
 from qpchar.series import add, make_zero, monomial, mul, qpoch_inverse
@@ -21,6 +21,12 @@ def test_spec_caps():
 def test_spec_rejects_level_below_one():
     with pytest.raises(ValueError):
         ModuleSpec.standard(0)
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, "2", True, False])
+def test_spec_rejects_non_int_level(level):
+    with pytest.raises(TypeError):
+        ModuleSpec(level=level)
 
 
 def test_spec_describe():
@@ -126,6 +132,18 @@ def _reference_character(spec, qmax):
 @pytest.mark.parametrize("spec", [S1, S2, V])
 def test_character_agrees_with_series_machinery(spec):
     assert character_fermionic(spec, 5) == _reference_character(spec, 5)
+
+
+@pytest.mark.parametrize("spec", [V, S1, S2, S3, ModuleSpec.standard(4)])
+def test_block_recursion_matches_pair_sum(spec):
+    for qmax in range(11):
+        assert character_fermionic(spec, qmax) == pair_sum_character(spec, qmax), qmax
+
+
+@pytest.mark.parametrize("qmax,error", [(-1, ValueError), (2.0, TypeError), (True, TypeError)])
+def test_character_rejects_bad_truncation(qmax, error):
+    with pytest.raises(error):
+        character_fermionic(S1, qmax)
 
 
 def _leq(a, b):

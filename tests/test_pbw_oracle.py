@@ -58,6 +58,16 @@ def test_product_equals_fermionic_verma(qmax):
     assert product_side(qmax) == character_fermionic(ModuleSpec.verma(), qmax)
 
 
+def test_product_equals_fermionic_verma_qmax20():
+    # the Euler-Cauchy identity well past acceptance criterion 1 (qmax 12)
+    assert product_side(20) == character_fermionic(ModuleSpec.verma(), 20)
+
+
+def test_product_side_rejects_bool_truncation():
+    with pytest.raises(TypeError):
+        product_side(True)
+
+
 def test_specialization_counts_colored_partitions():
     # y1 = y2 = 1 turns the product into the 6-colored partition generating
     # function; compare with an independent one-variable recurrence

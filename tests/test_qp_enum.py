@@ -49,6 +49,11 @@ def test_equal_charges_need_gap_two():
     assert is_valid(QPMonomial(color2=((1, -1), (1, -3),)), V)
 
 
+def test_enumerate_basis_rejects_float_truncation():
+    with pytest.raises(TypeError):
+        enumerate_basis(S1, 2.0)
+
+
 def test_charge_caps():
     b1 = QPMonomial(color1=((2, -2),))
     assert not is_valid(b1, S1)

@@ -57,6 +57,12 @@ def test_negative_truncation_rejected():
         make_zero(-1)
 
 
+@pytest.mark.parametrize("trunc", [2.0, "2", None, True, False])
+def test_non_int_truncation_rejected(trunc):
+    with pytest.raises(TypeError):
+        TruncatedSeries(trunc)
+
+
 def test_zero_coefficients_never_stored():
     s = TruncatedSeries(3, {(1, 0, 0): 0, (2, 1, 0): 5})
     assert len(s) == 1
@@ -254,3 +260,13 @@ def test_sorted_terms_is_lexicographic():
         (2, 0, 0),
         (2, 0, 1),
     ]
+
+
+def test_first_mismatch():
+    a = TruncatedSeries(3, {(0, 0, 0): 1, (2, 0, 1): 4, (3, 1, 1): 5})
+    b = TruncatedSeries(3, {(0, 0, 0): 1, (1, 2, 0): 2, (2, 0, 1): 4})
+    assert a.first_mismatch(a) is None
+    assert a.first_mismatch(b) == ((1, 2, 0), 0, 2)
+    assert b.first_mismatch(a) == ((1, 2, 0), 2, 0)
+    with pytest.raises(TruncationMismatch):
+        a.first_mismatch(make_zero(2))
