@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from qpchar.fermionic import ModuleSpec, character_fermionic, enumerate_dual_charge_types
+from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.pbw_oracle import product_side
 
 
@@ -19,7 +19,7 @@ def main() -> int:
     args = ap.parse_args()
 
     verma = ModuleSpec.verma()
-    print(f"{'q':>4} {'index set':>10} {'terms':>7} {'product s':>10} {'sum s':>8}  identity")
+    print(f"{'q':>4} {'terms':>7} {'product s':>10} {'sum s':>8}  identity")
     ok = True
     for qmax in range(args.qmax + 1):
         t0 = time.perf_counter()
@@ -27,10 +27,9 @@ def main() -> int:
         t1 = time.perf_counter()
         ferm = character_fermionic(verma, qmax)
         t2 = time.perf_counter()
-        npairs = len(enumerate_dual_charge_types(verma, qmax))
         agree = prod == ferm
         ok = ok and agree
-        print(f"{qmax:>4} {npairs:>10} {len(prod):>7} {t1 - t0:>10.3f} {t2 - t1:>8.3f}  "
+        print(f"{qmax:>4} {len(prod):>7} {t1 - t0:>10.3f} {t2 - t1:>8.3f}  "
               f"{'ok' if agree else 'MISMATCH'}")
     return 0 if ok else 1
 

@@ -35,14 +35,9 @@ from .series import (
     SeriesKey,
     TruncatedSeries,
     TruncationMismatch,
-    add,
-    coeff,
-    geometric_inverse_factor,
+    divide_geometric,
     make_one,
-    make_zero,
     monomial,
-    mul,
-    qpoch_inverse,
 )
 
 __version__ = "0.1.0"
@@ -74,13 +69,8 @@ __all__ = [
     "OutOfTruncation",
     "SeriesKey",
     "TruncatedSeries",
-    "add",
-    "coeff",
-    "geometric_inverse_factor",
+    "divide_geometric",
     "make_one",
-    "make_zero",
     "monomial",
-    "mul",
-    "qpoch_inverse",
     "__version__",
 ]

@@ -102,8 +102,7 @@ def enumerate_dual_charge_types(spec: ModuleSpec, qmax: int) -> list[DualChargeT
     Every emitted pair is checked against the budget before inclusion, hence
     the returned set is exactly the stated one, without duplicates.
     """
-    if qmax < 0:
-        raise ValueError(f"qmax must be >= 0, got {qmax}")
+    validate_trunc(qmax)
     cap1 = spec.color1_cap
     cap2 = spec.color2_cap
     out: list[DualChargeType] = []

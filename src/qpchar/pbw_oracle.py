@@ -11,15 +11,16 @@ their (y1, y2) weights in the simple-root basis:
     alpha1 + 3alpha2  (1, 3)
     2alpha1 + 3alpha2 (2, 3)
 
-`product_side` multiplies out prod over roots, prod over m >= 1, of
-1/(1 - q^m y1^a y2^b).  `pbw_enumerated` counts monomial multisets directly,
-never touching series multiplication, so the two agree only if both are
-right.
+`product_side` computes prod over roots, prod over m >= 1, of
+1/(1 - q^m y1^a y2^b) by dividing the series 1 in place by each
+1 - q^m y1^a y2^b in turn.  `pbw_enumerated` counts monomial multisets
+directly, never touching series arithmetic, so the two agree only if both
+are right.
 """
 
 from typing import NamedTuple
 
-from .series import TruncatedSeries, geometric_inverse_factor, make_one
+from .series import TruncatedSeries, divide_geometric, validate_trunc
 
 
 class PositiveRoot(NamedTuple):
@@ -39,12 +40,16 @@ POSITIVE_ROOTS: tuple[PositiveRoot, ...] = (
 
 
 def product_side(qmax: int) -> TruncatedSeries:
-    """The six-fold Euler product, one geometric factor per root and q-step."""
-    out = make_one(qmax)
+    """The six-fold Euler product, one geometric factor per root and q-step,
+    each divided out of the q-layers of 1 by one `divide_geometric` sweep."""
+    validate_trunc(qmax)
+    layers: list[dict[tuple[int, int], int]] = [{(0, 0): 1}] + [{} for _ in range(qmax)]
     for root in POSITIVE_ROOTS:
         for m in range(1, qmax + 1):
-            out = out * geometric_inverse_factor(qmax, m, root.y1, root.y2)
-    return out
+            divide_geometric(layers, m, root.y1, root.y2)
+    return TruncatedSeries(
+        qmax, {(q, u, v): c for q, layer in enumerate(layers) for (u, v), c in layer.items()}
+    )
 
 
 def pbw_enumerated(qmax: int) -> TruncatedSeries:

@@ -37,7 +37,7 @@ from .partitions import (
     mixed_energy_from_charges,
     validate_partition,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, validate_trunc
 
 ChargedModes = tuple[tuple[int, int], ...]
 
@@ -164,7 +164,14 @@ def iter_basis_monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
     enumerated independently and paired under the shared energy budget.
     Color-2 energies can be negative, so each color's own budget is qmax
     minus the other color's minimal energy.
+
+    A bad qmax raises here, at the call, not at the first item.
     """
+    validate_trunc(qmax)
+    return _monomials(spec, qmax)
+
+
+def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
     for d in enumerate_dual_charge_types(spec, qmax):
         n1 = conjugate(d.r1)
         n2 = conjugate(d.r2)

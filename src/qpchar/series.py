@@ -11,6 +11,10 @@ silently reconciled.
 
 Zero coefficients are never stored, so structural equality of the term maps
 is semantic equality of the truncated series.
+
+`divide_geometric` works instead on a mutable form, one {(y1_deg, y2_deg):
+coeff} dict per q-degree, so a long chain of divisions builds a single
+`TruncatedSeries` at the end.
 """
 
 from typing import Iterator, Mapping, NamedTuple
@@ -159,11 +163,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(trunc={self.trunc}, {len(self.terms)} terms)"
 
 
-def make_zero(trunc: int) -> TruncatedSeries:
-    """The zero series at the given truncation."""
-    return TruncatedSeries(trunc)
-
-
 def make_one(trunc: int) -> TruncatedSeries:
     """The constant series 1."""
     return TruncatedSeries(trunc, {(0, 0, 0): 1})
@@ -174,43 +173,22 @@ def monomial(trunc: int, q_deg: int, y1_deg: int, y2_deg: int, c: int = 1) -> Tr
     return TruncatedSeries(trunc, {(q_deg, y1_deg, y2_deg): c})
 
 
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
+def divide_geometric(layers: list[dict[tuple[int, int], int]], m: int, a: int, b: int) -> None:
+    """Divide, in place, the series held in `layers` by (1 - q^m y1^a y2^b).
 
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def coeff(s: TruncatedSeries, key: KeyLike) -> int:
-    return s.coeff(key)
-
-
-def geometric_inverse_factor(trunc: int, m: int, a: int, b: int) -> TruncatedSeries:
-    """Expansion of 1 / (1 - q^m y1^a y2^b) through q^trunc.
-
-    Requires m >= 1 so that only finitely many powers survive truncation.
+    `layers[q]` maps (y1_deg, y2_deg) to the coefficient at q^q, so the
+    truncation is len(layers) - 1.  With t = q^m y1^a y2^b, dividing by
+    1 - t is the single sweep c[q] += t * c[q - m] in increasing q: each
+    layer read has already been divided.  A cancellation may leave a zero
+    entry behind; `TruncatedSeries` drops those when built from the layers.
     """
     if m < 1:
         raise NonPositiveExponent(f"geometric factor needs q-step >= 1, got {m}")
     if a < 0 or b < 0:
         raise ValueError("color exponents must be non-negative")
-    terms = {}
-    j = 0
-    while j * m <= trunc:
-        terms[(j * m, j * a, j * b)] = 1
-        j += 1
-    return TruncatedSeries(trunc, terms)
-
-
-def qpoch_inverse(trunc: int, r: int) -> TruncatedSeries:
-    """Expansion of 1 / ((1-q)(1-q^2)...(1-q^r)); r = 0 gives 1.
-
-    The q^m coefficient counts partitions of m into parts of size at most r.
-    """
-    if r < 0:
-        raise ValueError(f"Pochhammer depth must be >= 0, got {r}")
-    out = make_one(trunc)
-    for i in range(1, r + 1):
-        out = out * geometric_inverse_factor(trunc, i, 0, 0)
-    return out
+    for q in range(m, len(layers)):
+        dst = layers[q]
+        get = dst.get
+        for (u, v), c in layers[q - m].items():
+            key = (u + a, v + b)
+            dst[key] = get(key, 0) + c

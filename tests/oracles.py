@@ -30,6 +30,20 @@ def brute_mul(a_terms: dict, b_terms: dict, trunc: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def brute_product_side(qmax: int) -> dict:
+    """The six-root Euler product multiplied out: the truncated geometric
+    series of every factor 1/(1 - q^m y1^a y2^b), written as an explicit
+    dict, folded in one `brute_mul` at a time.  The root weights are
+    restated here so the oracle shares nothing with `pbw_oracle`."""
+    roots = ((0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3))
+    out = {(0, 0, 0): 1}
+    for a, b in roots:
+        for m in range(1, qmax + 1):
+            factor = {(j * m, j * a, j * b): 1 for j in range(qmax // m + 1)}
+            out = brute_mul(out, factor, qmax)
+    return out
+
+
 def _partitions_in_box(max_len: int, max_part: int):
     """Every weakly decreasing tuple with at most max_len parts <= max_part."""
     yield ()

@@ -3,7 +3,7 @@ import pytest
 from oracles import brute_dual_charge_types, pair_sum_character
 from qpchar.fermionic import ModuleSpec, character_fermionic, enumerate_dual_charge_types
 from qpchar.partitions import DualChargeType, total_exponent, validate_partition
-from qpchar.series import add, make_zero, monomial, mul, qpoch_inverse
+from qpchar.series import TruncatedSeries, make_one, monomial
 
 S1 = ModuleSpec.standard(1)
 S2 = ModuleSpec.standard(2)
@@ -75,6 +75,12 @@ def test_enumerate_matches_brute_force(spec, qmax):
     assert set(got) == brute_dual_charge_types(spec.level, qmax)
 
 
+@pytest.mark.parametrize("qmax,error", [(2.5, TypeError), (2.0, TypeError), (True, TypeError), (-1, ValueError)])
+def test_enumerate_rejects_bad_truncation(qmax, error):
+    with pytest.raises(error):
+        enumerate_dual_charge_types(S1, qmax)
+
+
 def test_enumerate_postconditions():
     for d in enumerate_dual_charge_types(S2, 5):
         validate_partition(d.r1)
@@ -112,6 +118,14 @@ def test_character_spot_value_q2_y2sq():
     assert character_fermionic(S1, 2).coeff((2, 0, 2)) == 1
 
 
+def _qpoch_inverse(trunc, r):
+    # 1 / ((1-q)...(1-q^r)) as a product of explicit geometric series
+    out = make_one(trunc)
+    for i in range(1, r + 1):
+        out = out * TruncatedSeries(trunc, {(j * i, 0, 0): 1 for j in range(trunc // i + 1)})
+    return out
+
+
 def _reference_character(spec, qmax):
     # same sum evaluated with the generic series machinery: scale each
     # Pochhammer product by the exponent monomial and accumulate
@@ -120,12 +134,12 @@ def _reference_character(spec, qmax):
             return ()
         return tuple(r[i] - r[i + 1] for i in range(len(r) - 1)) + (r[-1],)
 
-    total = make_zero(qmax)
+    total = TruncatedSeries(qmax)
     for d in enumerate_dual_charge_types(spec, qmax):
         term = monomial(qmax, total_exponent(d), sum(d.r1), sum(d.r2))
         for dd in diffs(d.r1) + diffs(d.r2):
-            term = mul(term, qpoch_inverse(qmax, dd))
-        total = add(total, term)
+            term = term * _qpoch_inverse(qmax, dd)
+        total = total + term
     return total
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import colored_partition_counts
+from oracles import brute_product_side, colored_partition_counts
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.pbw_oracle import POSITIVE_ROOTS, pbw_enumerated, product_side
 
@@ -48,6 +48,11 @@ def test_pbw_enumerated_spot_values():
     assert s.coeff((2, 1, 1)) == 2
 
 
+@pytest.mark.parametrize("qmax", range(9))
+def test_product_side_matches_multiplied_out(qmax):
+    assert dict(product_side(qmax).terms) == brute_product_side(qmax)
+
+
 @pytest.mark.parametrize("qmax", [0, 1, 3, 5])
 def test_enumeration_equals_product(qmax):
     assert pbw_enumerated(qmax) == product_side(qmax)
@@ -61,6 +66,10 @@ def test_product_equals_fermionic_verma(qmax):
 def test_product_equals_fermionic_verma_qmax20():
     # the Euler-Cauchy identity well past acceptance criterion 1 (qmax 12)
     assert product_side(20) == character_fermionic(ModuleSpec.verma(), 20)
+
+
+def test_product_equals_fermionic_verma_qmax24():
+    assert product_side(24) == character_fermionic(ModuleSpec.verma(), 24)
 
 
 def test_product_side_rejects_bool_truncation():

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import brute_basis_series
+from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.partitions import DualChargeType, conjugate, total_exponent
 from qpchar.qp_enum import QPMonomial, enumerate_basis, is_valid, iter_basis_monomials
@@ -49,9 +50,20 @@ def test_equal_charges_need_gap_two():
     assert is_valid(QPMonomial(color2=((1, -1), (1, -3),)), V)
 
 
-def test_enumerate_basis_rejects_float_truncation():
+def test_enumerate_basis_rejects_float_truncation(monkeypatch):
+    # rejected before the index set is enumerated
+    def refuse(*_args):
+        raise AssertionError("index set enumerated for a bad truncation")
+
+    monkeypatch.setattr(qp_enum, "enumerate_dual_charge_types", refuse)
     with pytest.raises(TypeError):
         enumerate_basis(S1, 2.0)
+
+
+@pytest.mark.parametrize("qmax,error", [(2.5, TypeError), (2.0, TypeError), (True, TypeError), (-1, ValueError)])
+def test_iter_basis_monomials_rejects_bad_truncation(qmax, error):
+    with pytest.raises(error):
+        iter_basis_monomials(S1, qmax)
 
 
 def test_charge_caps():

@@ -9,14 +9,9 @@ from qpchar.series import (
     SeriesKey,
     TruncatedSeries,
     TruncationMismatch,
-    add,
-    coeff,
-    geometric_inverse_factor,
+    divide_geometric,
     make_one,
-    make_zero,
     monomial,
-    mul,
-    qpoch_inverse,
 )
 
 TRUNC = 4
@@ -29,14 +24,14 @@ series_st = st.dictionaries(keys_st, st.integers(-9, 9), max_size=8).map(
 
 # --- constructors -----------------------------------------------------------
 
-def test_make_zero_is_empty():
-    z = make_zero(5)
+def test_empty_series_is_zero():
+    z = TruncatedSeries(5)
     assert z.trunc == 5
     assert len(z) == 0
 
 
 def test_coeff_of_zero_is_zero_everywhere():
-    z = make_zero(5)
+    z = TruncatedSeries(5)
     for key in [(0, 0, 0), (3, 1, 2), (5, 0, 0)]:
         assert z.coeff(key) == 0
 
@@ -54,7 +49,7 @@ def test_make_one_constant_only_truncation():
 
 def test_negative_truncation_rejected():
     with pytest.raises(ValueError):
-        make_zero(-1)
+        TruncatedSeries(-1)
 
 
 @pytest.mark.parametrize("trunc", [2.0, "2", None, True, False])
@@ -94,39 +89,39 @@ def test_immutability():
 def test_add_cancellation_removes_term():
     a = monomial(3, 1, 1, 0, 2)
     b = monomial(3, 1, 1, 0, -2)
-    assert len(add(a, b)) == 0
+    assert len(a + b) == 0
 
 
 def test_add_keeps_distinct_keys():
-    s = add(monomial(3, 1, 0, 0), monomial(3, 0, 0, 1))
+    s = monomial(3, 1, 0, 0) + monomial(3, 0, 0, 1)
     assert s.coeff((1, 0, 0)) == 1
     assert s.coeff((0, 0, 1)) == 1
 
 
 def test_add_truncation_mismatch():
     with pytest.raises(TruncationMismatch):
-        add(make_one(3), make_one(4))
+        make_one(3) + make_one(4)
 
 
 def test_mul_truncation_mismatch():
     with pytest.raises(TruncationMismatch):
-        mul(make_one(3), make_one(4))
+        make_one(3) * make_one(4)
 
 
 def test_mul_monomials():
-    s = mul(monomial(2, 1, 1, 0), monomial(2, 1, 0, 1))
+    s = monomial(2, 1, 1, 0) * monomial(2, 1, 0, 1)
     assert s.sorted_terms() == [(SeriesKey(2, 1, 1), 1)]
 
 
 def test_mul_discards_beyond_truncation():
-    s = mul(monomial(2, 2, 0, 0), monomial(2, 1, 0, 0))
+    s = monomial(2, 2, 0, 0) * monomial(2, 1, 0, 0)
     assert len(s) == 0
 
 
 def test_mul_hand_expansion():
     # (1 + q y1)^2 = 1 + 2 q y1 + q^2 y1^2
-    f = add(make_one(2), monomial(2, 1, 1, 0))
-    sq = mul(f, f)
+    f = make_one(2) + monomial(2, 1, 1, 0)
+    sq = f * f
     assert sq.sorted_terms() == [
         (SeriesKey(0, 0, 0), 1),
         (SeriesKey(1, 1, 0), 2),
@@ -137,7 +132,7 @@ def test_mul_hand_expansion():
 @given(series_st, series_st)
 def test_mul_matches_brute_convolution(a, b):
     expected = brute_mul(a.terms, b.terms, TRUNC)
-    assert dict(mul(a, b).terms) == expected
+    assert dict((a * b).terms) == expected
 
 
 # --- algebraic laws ---------------------------------------------------------
@@ -145,48 +140,68 @@ def test_mul_matches_brute_convolution(a, b):
 @settings(max_examples=100)
 @given(series_st, series_st)
 def test_add_commutative(a, b):
-    assert add(a, b) == add(b, a)
+    assert a + b == b + a
 
 
 @settings(max_examples=100)
 @given(series_st, series_st)
 def test_mul_commutative(a, b):
-    assert mul(a, b) == mul(b, a)
+    assert a * b == b * a
 
 
 @settings(max_examples=100)
 @given(series_st, series_st, series_st)
 def test_add_associative(a, b, c):
-    assert add(add(a, b), c) == add(a, add(b, c))
+    assert (a + b) + c == a + (b + c)
 
 
 @settings(max_examples=100)
 @given(series_st, series_st, series_st)
 def test_mul_associative(a, b, c):
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 @settings(max_examples=100)
 @given(series_st, series_st, series_st)
 def test_mul_distributes_over_add(a, b, c):
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert a * (b + c) == a * b + a * c
 
 
 @given(series_st)
 def test_additive_identity(s):
-    assert add(s, make_zero(TRUNC)) == s
+    assert s + TruncatedSeries(TRUNC) == s
 
 
 @given(series_st)
 def test_multiplicative_identity(s):
-    assert mul(make_one(TRUNC), s) == s
+    assert make_one(TRUNC) * s == s
 
 
-# --- factor constructors ----------------------------------------------------
+# --- divide_geometric -------------------------------------------------------
+
+def _layers(s: TruncatedSeries) -> list[dict]:
+    layers = [{} for _ in range(s.trunc + 1)]
+    for (q, u, v), c in s.terms.items():
+        layers[q][(u, v)] = c
+    return layers
+
+
+def _series(layers: list[dict]) -> TruncatedSeries:
+    return TruncatedSeries(
+        len(layers) - 1,
+        {(q, u, v): c for q, layer in enumerate(layers) for (u, v), c in layer.items()},
+    )
+
+
+def _geometric(trunc, m, a, b):
+    # 1 / (1 - q^m y1^a y2^b), divided out of the series 1
+    layers = _layers(make_one(trunc))
+    divide_geometric(layers, m, a, b)
+    return _series(layers)
+
 
 def test_geometric_factor_basic():
-    s = geometric_inverse_factor(3, 1, 1, 0)
-    assert s.sorted_terms() == [
+    assert _geometric(3, 1, 1, 0).sorted_terms() == [
         (SeriesKey(0, 0, 0), 1),
         (SeriesKey(1, 1, 0), 1),
         (SeriesKey(2, 2, 0), 1),
@@ -195,29 +210,57 @@ def test_geometric_factor_basic():
 
 
 def test_geometric_factor_step_two():
-    s = geometric_inverse_factor(3, 2, 1, 3)
-    assert s.sorted_terms() == [
+    assert _geometric(5, 2, 1, 3).sorted_terms() == [
         (SeriesKey(0, 0, 0), 1),
         (SeriesKey(2, 1, 3), 1),
+        (SeriesKey(4, 2, 6), 1),
     ]
 
 
 def test_geometric_factor_trunc_zero():
-    assert geometric_inverse_factor(0, 1, 0, 0) == make_one(0)
+    assert _geometric(0, 1, 0, 0) == make_one(0)
 
 
 def test_geometric_factor_rejects_nonpositive_step():
-    with pytest.raises(NonPositiveExponent):
-        geometric_inverse_factor(3, 0, 1, 0)
+    for m in (0, -1):
+        with pytest.raises(NonPositiveExponent):
+            divide_geometric(_layers(make_one(3)), m, 1, 0)
+
+
+@pytest.mark.parametrize("a,b", [(-1, 0), (0, -1)])
+def test_divide_geometric_rejects_negative_color(a, b):
+    with pytest.raises(ValueError):
+        divide_geometric(_layers(make_one(3)), 1, a, b)
+
+
+@given(
+    series_st,
+    st.integers(1, TRUNC + 1),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_divide_geometric_undone_by_factor(s, m, a, b):
+    layers = _layers(s)
+    divide_geometric(layers, m, a, b)
+    factor = {(0, 0, 0): 1, (m, a, b): -1}
+    assert brute_mul(_series(layers).terms, factor, TRUNC) == s.terms
+
+
+def _qpoch_inverse(trunc, r):
+    # 1 / ((1-q)(1-q^2)...(1-q^r)); r = 0 gives 1
+    layers = _layers(make_one(trunc))
+    for i in range(1, r + 1):
+        divide_geometric(layers, i, 0, 0)
+    return _series(layers)
 
 
 def test_qpoch_inverse_depth_zero_is_one():
-    assert qpoch_inverse(4, 0) == make_one(4)
+    assert _qpoch_inverse(4, 0) == make_one(4)
 
 
 def test_qpoch_inverse_depth_one():
     # 1/(1-q)
-    assert qpoch_inverse(3, 1).counts_by_q() == [1, 1, 1, 1]
+    assert _qpoch_inverse(3, 1).counts_by_q() == [1, 1, 1, 1]
 
 
 def _bounded_partition_count(m, max_part):
@@ -231,23 +274,23 @@ def _bounded_partition_count(m, max_part):
 
 def test_qpoch_inverse_counts_bounded_partitions():
     for r in range(4):
-        got = qpoch_inverse(5, r).counts_by_q()
+        got = _qpoch_inverse(5, r).counts_by_q()
         want = [_bounded_partition_count(m, r) for m in range(6)]
         assert got == want
-    assert qpoch_inverse(3, 2).counts_by_q() == [1, 1, 2, 2]
+    assert _qpoch_inverse(3, 2).counts_by_q() == [1, 1, 2, 2]
 
 
 # --- coeff contract ---------------------------------------------------------
 
 def test_coeff_within_truncation():
     one = make_one(2)
-    assert coeff(one, (0, 0, 0)) == 1
-    assert coeff(one, (1, 1, 1)) == 0
+    assert one.coeff((0, 0, 0)) == 1
+    assert one.coeff((1, 1, 1)) == 0
 
 
 def test_coeff_beyond_truncation_raises():
     with pytest.raises(OutOfTruncation):
-        coeff(make_one(2), (3, 0, 0))
+        make_one(2).coeff((3, 0, 0))
 
 
 # --- serialization order ----------------------------------------------------
@@ -269,4 +312,4 @@ def test_first_mismatch():
     assert a.first_mismatch(b) == ((1, 2, 0), 0, 2)
     assert b.first_mismatch(a) == ((1, 2, 0), 2, 0)
     with pytest.raises(TruncationMismatch):
-        a.first_mismatch(make_zero(2))
+        a.first_mismatch(TruncatedSeries(2))
