@@ -18,6 +18,10 @@ def main() -> None:
     ap.add_argument("--qmax", type=int, default=10)
     ap.add_argument("--levels", type=int, nargs="+", default=[1, 2, 3])
     args = ap.parse_args()
+    if args.qmax < 0:
+        ap.error(f"--qmax must be >= 0, got {args.qmax}")
+    if any(k < 1 for k in args.levels):
+        ap.error(f"--levels must all be >= 1, got {args.levels}")
 
     columns = [(f"L(k={k})", character_fermionic(ModuleSpec.standard(k), args.qmax))
                for k in args.levels]

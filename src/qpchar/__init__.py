@@ -36,8 +36,6 @@ from .series import (
     TruncatedSeries,
     TruncationMismatch,
     divide_geometric,
-    make_one,
-    monomial,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +68,5 @@ __all__ = [
     "SeriesKey",
     "TruncatedSeries",
     "divide_geometric",
-    "make_one",
-    "monomial",
     "__version__",
 ]

@@ -60,6 +60,7 @@ def pbw_enumerated(qmax: int) -> TruncatedSeries:
     its factors form a partition of part of the remaining budget, generated
     with weakly decreasing parts so each multiset appears once.
     """
+    validate_trunc(qmax)
     terms: dict[tuple[int, int, int], int] = {}
 
     def next_root(i: int, budget: int, q: int, u: int, v: int) -> None:

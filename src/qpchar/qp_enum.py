@@ -24,6 +24,13 @@ difference conditions checked by `is_valid`:
 Minimal-energy monomials take every mode at its bound, and their total
 energy is exactly `total_exponent` of the monomial's dual counts; the
 enumeration walks modes downward from those bounds within the energy budget.
+
+The conditions couple the two colors only through their charges, so for a
+fixed charge type the monomials are all pairs of a color-1 and a color-2
+mode vector within the budget.  `enumerate_basis` therefore enumerates every
+mode vector of each color but counts the pairs as a product of per-color
+energy histograms; `iter_basis_monomials` builds the pairs themselves, for
+callers that need the monomials and for the tests that check the count.
 """
 
 from dataclasses import dataclass
@@ -40,6 +47,7 @@ from .partitions import (
 from .series import TruncatedSeries, validate_trunc
 
 ChargedModes = tuple[tuple[int, int], ...]
+ModeVectors = list[tuple[int, tuple[int, ...]]]  # (energy, modes), sorted by energy
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ def is_valid(b: QPMonomial, spec: ModuleSpec) -> bool:
     return True
 
 
-def _mode_vectors(charges: Partition, bounds: list[int], max_energy: int) -> list[tuple[int, tuple[int, ...]]]:
+def _mode_vectors(charges: Partition, bounds: list[int], max_energy: int) -> ModeVectors:
     """All admissible mode tuples for one color, with total energy (-sum of
     modes) at most max_energy.  Returns (energy, modes) pairs sorted by
     energy.
@@ -117,7 +125,7 @@ def _mode_vectors(charges: Partition, bounds: list[int], max_energy: int) -> lis
     lowers later effective bounds, so the break is sound.
     """
     r = len(charges)
-    out: list[tuple[int, tuple[int, ...]]] = []
+    out: ModeVectors = []
 
     def completion_floor(p: int, prev: int) -> int:
         e = 0
@@ -158,12 +166,10 @@ def _mode_vectors(charges: Partition, bounds: list[int], max_energy: int) -> lis
 def iter_basis_monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
     """Yield every valid monomial of total energy <= qmax, each exactly once.
 
-    Charge types are the conjugates of the dual count pairs within budget
-    (a charge type admits a monomial of energy <= qmax iff the exponent of
-    its dual counts is <= qmax); for each, the two colors' mode vectors are
-    enumerated independently and paired under the shared energy budget.
-    Color-2 energies can be negative, so each color's own budget is qmax
-    minus the other color's minimal energy.
+    For each charge type of `_charge_types` the two colors' mode vectors are
+    paired under the shared energy budget.  `enumerate_basis` does not use
+    this generator; it is kept for callers that want the monomials
+    themselves, and the tests check it against the count.
 
     A bad qmax raises here, at the call, not at the first item.
     """
@@ -171,7 +177,18 @@ def iter_basis_monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
     return _monomials(spec, qmax)
 
 
-def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
+def _charge_types(spec: ModuleSpec, qmax: int) -> Iterator[tuple[Partition, Partition, ModeVectors, ModeVectors]]:
+    """Per charge type (n1, n2) within budget, the two colors' mode vectors.
+
+    Charge types are the conjugates of the dual count pairs within budget
+    (a charge type admits a monomial of energy <= qmax iff the exponent of
+    its dual counts is <= qmax).  The difference conditions tie the colors
+    together only through the charges (`_color2_bounds` reads n1, never its
+    modes), so the charge type's monomials are exactly the pairs of a
+    color-1 and a color-2 vector with e1 + e2 <= qmax.  Color-2 energies
+    can be negative, so each color's own budget is qmax minus the other
+    color's minimal energy.
+    """
     for d in enumerate_dual_charge_types(spec, qmax):
         n1 = conjugate(d.r1)
         n2 = conjugate(d.r2)
@@ -179,6 +196,11 @@ def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
         e2_min = diag_energy_from_charges(n2) - mixed_energy_from_charges(n1, n2)
         vecs1 = _mode_vectors(n1, _color1_bounds(n1), qmax - e2_min)
         vecs2 = _mode_vectors(n2, _color2_bounds(n1, n2), qmax - e1_min)
+        yield n1, n2, vecs1, vecs2
+
+
+def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
+    for n1, n2, vecs1, vecs2 in _charge_types(spec, qmax):
         for e1, m1 in vecs1:
             budget = qmax - e1
             for e2, m2 in vecs2:
@@ -190,12 +212,31 @@ def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
                 )
 
 
+def _energy_histogram(vecs: ModeVectors) -> dict[int, int]:
+    hist: dict[int, int] = {}
+    for e, _modes in vecs:
+        hist[e] = hist.get(e, 0) + 1
+    return hist
+
+
 def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     """Count the basis monomials: sum of q^energy y1^r1 y2^r2 over every
-    monomial yielded by `iter_basis_monomials`."""
+    monomial `iter_basis_monomials` yields.
+
+    Per charge type every mode vector of each color is enumerated, but the
+    pairs are counted, not built: the count at total energy e is the
+    product of the two colors' energy histograms, summed over e1 + e2 = e.
+    """
+    validate_trunc(qmax)
     terms: dict[tuple[int, int, int], int] = {}
-    for b in iter_basis_monomials(spec, qmax):
-        r1, r2 = b.color_type
-        key = (b.energy, r1, r2)
-        terms[key] = terms.get(key, 0) + 1
+    for n1, n2, vecs1, vecs2 in _charge_types(spec, qmax):
+        r1, r2 = sum(n1), sum(n2)
+        hist2 = _energy_histogram(vecs2)
+        for e1, c1 in _energy_histogram(vecs1).items():
+            for e2, c2 in hist2.items():
+                e = e1 + e2
+                if e > qmax:
+                    break  # hist2 keeps vecs2's increasing energy order
+                key = (e, r1, r2)
+                terms[key] = terms.get(key, 0) + c1 * c2
     return TruncatedSeries(qmax, terms)

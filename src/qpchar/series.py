@@ -163,16 +163,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(trunc={self.trunc}, {len(self.terms)} terms)"
 
 
-def make_one(trunc: int) -> TruncatedSeries:
-    """The constant series 1."""
-    return TruncatedSeries(trunc, {(0, 0, 0): 1})
-
-
-def monomial(trunc: int, q_deg: int, y1_deg: int, y2_deg: int, c: int = 1) -> TruncatedSeries:
-    """A single term c * q^q_deg y1^y1_deg y2^y2_deg."""
-    return TruncatedSeries(trunc, {(q_deg, y1_deg, y2_deg): c})
-
-
 def divide_geometric(layers: list[dict[tuple[int, int], int]], m: int, a: int, b: int) -> None:
     """Divide, in place, the series held in `layers` by (1 - q^m y1^a y2^b).
 

@@ -3,7 +3,7 @@ import pytest
 from oracles import brute_dual_charge_types, pair_sum_character
 from qpchar.fermionic import ModuleSpec, character_fermionic, enumerate_dual_charge_types
 from qpchar.partitions import DualChargeType, total_exponent, validate_partition
-from qpchar.series import TruncatedSeries, make_one, monomial
+from qpchar.series import TruncatedSeries
 
 S1 = ModuleSpec.standard(1)
 S2 = ModuleSpec.standard(2)
@@ -120,7 +120,7 @@ def test_character_spot_value_q2_y2sq():
 
 def _qpoch_inverse(trunc, r):
     # 1 / ((1-q)...(1-q^r)) as a product of explicit geometric series
-    out = make_one(trunc)
+    out = TruncatedSeries(trunc, {(0, 0, 0): 1})
     for i in range(1, r + 1):
         out = out * TruncatedSeries(trunc, {(j * i, 0, 0): 1 for j in range(trunc // i + 1)})
     return out
@@ -136,7 +136,7 @@ def _reference_character(spec, qmax):
 
     total = TruncatedSeries(qmax)
     for d in enumerate_dual_charge_types(spec, qmax):
-        term = monomial(qmax, total_exponent(d), sum(d.r1), sum(d.r2))
+        term = TruncatedSeries(qmax, {(total_exponent(d), sum(d.r1), sum(d.r2)): 1})
         for dd in diffs(d.r1) + diffs(d.r2):
             term = term * _qpoch_inverse(qmax, dd)
         total = total + term

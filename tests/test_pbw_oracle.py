@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import brute_product_side, colored_partition_counts
+from qpchar import pbw_oracle
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.pbw_oracle import POSITIVE_ROOTS, pbw_enumerated, product_side
 
@@ -75,6 +76,21 @@ def test_product_equals_fermionic_verma_qmax24():
 def test_product_side_rejects_bool_truncation():
     with pytest.raises(TypeError):
         product_side(True)
+
+
+class _RefuseRoots:
+    # stands in for the root table; any look at it means the count started
+    def _refuse(self, *_args):
+        raise AssertionError("pbw_enumerated recursed for a bad truncation")
+
+    __len__ = __getitem__ = __iter__ = _refuse
+
+
+@pytest.mark.parametrize("qmax,error", [(2.0, TypeError), (2.5, TypeError), (True, TypeError), (-1, ValueError)])
+def test_pbw_enumerated_rejects_bad_truncation(monkeypatch, qmax, error):
+    monkeypatch.setattr(pbw_oracle, "POSITIVE_ROOTS", _RefuseRoots())
+    with pytest.raises(error):
+        pbw_enumerated(qmax)
 
 
 def test_specialization_counts_colored_partitions():

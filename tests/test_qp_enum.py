@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from oracles import brute_basis_series
@@ -8,6 +10,7 @@ from qpchar.qp_enum import QPMonomial, enumerate_basis, is_valid, iter_basis_mon
 
 S1 = ModuleSpec.standard(1)
 S2 = ModuleSpec.standard(2)
+S3 = ModuleSpec.standard(3)
 V = ModuleSpec.verma()
 
 
@@ -132,6 +135,16 @@ def test_enumeration_equals_fermionic_sum_deep(spec):
     assert enumerate_basis(spec, 10) == character_fermionic(spec, 10)
 
 
+@pytest.mark.parametrize(
+    "spec,qmax",
+    [(S1, 20), (S2, 16), (S3, 13), (V, 12)],
+    ids=["L1-20", "L2-16", "L3-13", "V-12"],
+)
+def test_enumeration_equals_fermionic_sum_deeper(spec, qmax):
+    # past the benchmark's basis points (L k=1,2,3 at qmax 16, 13, 11)
+    assert enumerate_basis(spec, qmax) == character_fermionic(spec, qmax)
+
+
 def test_monotone_in_level():
     a = enumerate_basis(S1, 4)
     b = enumerate_basis(S2, 4)
@@ -150,6 +163,16 @@ def test_every_enumerated_monomial_revalidates():
             assert b.energy <= 4
             assert b not in seen, "double counted"
             seen.add(b)
+
+
+@pytest.mark.parametrize("spec", [S1, S2, S3, V], ids=["L1", "L2", "L3", "V"])
+@pytest.mark.parametrize("qmax", range(9))
+def test_histogram_count_equals_generator_count(spec, qmax):
+    # enumerate_basis counts by energy histograms; the generator pairs the
+    # same mode vectors one monomial at a time
+    got = enumerate_basis(spec, qmax).terms
+    want = Counter((b.energy, *b.color_type) for b in iter_basis_monomials(spec, qmax))
+    assert got == want
 
 
 def test_energy_floor_is_dual_exponent():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,3 +30,11 @@ def test_dimension_table():
     proc = _run("dimension_table.py", "--qmax", "6")
     assert proc.returncode == 0, proc.stderr
     assert "N (cap-free)" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [("--levels", "0"), ("--levels", "1", "-2"), ("--qmax", "-1")])
+def test_dimension_table_rejects_bad_arguments(args):
+    proc = _run("dimension_table.py", *args)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr

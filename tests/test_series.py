@@ -10,8 +10,6 @@ from qpchar.series import (
     TruncatedSeries,
     TruncationMismatch,
     divide_geometric,
-    make_one,
-    monomial,
 )
 
 TRUNC = 4
@@ -20,6 +18,15 @@ keys_st = st.tuples(st.integers(0, TRUNC), st.integers(0, 3), st.integers(0, 3))
 series_st = st.dictionaries(keys_st, st.integers(-9, 9), max_size=8).map(
     lambda d: TruncatedSeries(TRUNC, d)
 )
+
+
+def _one(trunc):
+    return TruncatedSeries(trunc, {(0, 0, 0): 1})
+
+
+def _term(trunc, q_deg, y1_deg, y2_deg, c=1):
+    # the single term c * q^q_deg y1^y1_deg y2^y2_deg
+    return TruncatedSeries(trunc, {(q_deg, y1_deg, y2_deg): c})
 
 
 # --- constructors -----------------------------------------------------------
@@ -36,15 +43,15 @@ def test_coeff_of_zero_is_zero_everywhere():
         assert z.coeff(key) == 0
 
 
-def test_make_one():
-    one = make_one(3)
+def test_constant_one():
+    one = _one(3)
     assert one.coeff((0, 0, 0)) == 1
     assert one.coeff((1, 1, 1)) == 0
     assert len(one) == 1
 
 
-def test_make_one_constant_only_truncation():
-    assert make_one(0).coeff((0, 0, 0)) == 1
+def test_constant_one_at_truncation_zero():
+    assert _one(0).coeff((0, 0, 0)) == 1
 
 
 def test_negative_truncation_rejected():
@@ -79,7 +86,7 @@ def test_float_coefficients_rejected():
 
 
 def test_immutability():
-    s = make_one(2)
+    s = _one(2)
     with pytest.raises(AttributeError):
         s.trunc = 7
 
@@ -87,40 +94,40 @@ def test_immutability():
 # --- add / mul --------------------------------------------------------------
 
 def test_add_cancellation_removes_term():
-    a = monomial(3, 1, 1, 0, 2)
-    b = monomial(3, 1, 1, 0, -2)
+    a = _term(3, 1, 1, 0, 2)
+    b = _term(3, 1, 1, 0, -2)
     assert len(a + b) == 0
 
 
 def test_add_keeps_distinct_keys():
-    s = monomial(3, 1, 0, 0) + monomial(3, 0, 0, 1)
+    s = _term(3, 1, 0, 0) + _term(3, 0, 0, 1)
     assert s.coeff((1, 0, 0)) == 1
     assert s.coeff((0, 0, 1)) == 1
 
 
 def test_add_truncation_mismatch():
     with pytest.raises(TruncationMismatch):
-        make_one(3) + make_one(4)
+        _one(3) + _one(4)
 
 
 def test_mul_truncation_mismatch():
     with pytest.raises(TruncationMismatch):
-        make_one(3) * make_one(4)
+        _one(3) * _one(4)
 
 
 def test_mul_monomials():
-    s = monomial(2, 1, 1, 0) * monomial(2, 1, 0, 1)
+    s = _term(2, 1, 1, 0) * _term(2, 1, 0, 1)
     assert s.sorted_terms() == [(SeriesKey(2, 1, 1), 1)]
 
 
 def test_mul_discards_beyond_truncation():
-    s = monomial(2, 2, 0, 0) * monomial(2, 1, 0, 0)
+    s = _term(2, 2, 0, 0) * _term(2, 1, 0, 0)
     assert len(s) == 0
 
 
 def test_mul_hand_expansion():
     # (1 + q y1)^2 = 1 + 2 q y1 + q^2 y1^2
-    f = make_one(2) + monomial(2, 1, 1, 0)
+    f = _one(2) + _term(2, 1, 1, 0)
     sq = f * f
     assert sq.sorted_terms() == [
         (SeriesKey(0, 0, 0), 1),
@@ -174,7 +181,7 @@ def test_additive_identity(s):
 
 @given(series_st)
 def test_multiplicative_identity(s):
-    assert make_one(TRUNC) * s == s
+    assert _one(TRUNC) * s == s
 
 
 # --- divide_geometric -------------------------------------------------------
@@ -195,7 +202,7 @@ def _series(layers: list[dict]) -> TruncatedSeries:
 
 def _geometric(trunc, m, a, b):
     # 1 / (1 - q^m y1^a y2^b), divided out of the series 1
-    layers = _layers(make_one(trunc))
+    layers = _layers(_one(trunc))
     divide_geometric(layers, m, a, b)
     return _series(layers)
 
@@ -218,19 +225,19 @@ def test_geometric_factor_step_two():
 
 
 def test_geometric_factor_trunc_zero():
-    assert _geometric(0, 1, 0, 0) == make_one(0)
+    assert _geometric(0, 1, 0, 0) == _one(0)
 
 
 def test_geometric_factor_rejects_nonpositive_step():
     for m in (0, -1):
         with pytest.raises(NonPositiveExponent):
-            divide_geometric(_layers(make_one(3)), m, 1, 0)
+            divide_geometric(_layers(_one(3)), m, 1, 0)
 
 
 @pytest.mark.parametrize("a,b", [(-1, 0), (0, -1)])
 def test_divide_geometric_rejects_negative_color(a, b):
     with pytest.raises(ValueError):
-        divide_geometric(_layers(make_one(3)), 1, a, b)
+        divide_geometric(_layers(_one(3)), 1, a, b)
 
 
 @given(
@@ -248,14 +255,14 @@ def test_divide_geometric_undone_by_factor(s, m, a, b):
 
 def _qpoch_inverse(trunc, r):
     # 1 / ((1-q)(1-q^2)...(1-q^r)); r = 0 gives 1
-    layers = _layers(make_one(trunc))
+    layers = _layers(_one(trunc))
     for i in range(1, r + 1):
         divide_geometric(layers, i, 0, 0)
     return _series(layers)
 
 
 def test_qpoch_inverse_depth_zero_is_one():
-    assert _qpoch_inverse(4, 0) == make_one(4)
+    assert _qpoch_inverse(4, 0) == _one(4)
 
 
 def test_qpoch_inverse_depth_one():
@@ -283,14 +290,14 @@ def test_qpoch_inverse_counts_bounded_partitions():
 # --- coeff contract ---------------------------------------------------------
 
 def test_coeff_within_truncation():
-    one = make_one(2)
+    one = _one(2)
     assert one.coeff((0, 0, 0)) == 1
     assert one.coeff((1, 1, 1)) == 0
 
 
 def test_coeff_beyond_truncation_raises():
     with pytest.raises(OutOfTruncation):
-        make_one(2).coeff((3, 0, 0))
+        _one(2).coeff((3, 0, 0))
 
 
 # --- serialization order ----------------------------------------------------
