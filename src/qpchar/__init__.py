@@ -5,8 +5,8 @@ for the affine Lie algebra of type G2, computed by three independent methods:
 * exhaustive enumeration of quasi-particle monomials satisfying the
   difference conditions (`enumerate_basis`),
 * for the generalized Verma module, the PBW side: an Euler product over the
-  six positive roots and a literal monomial-multiset count (`product_side`,
-  `pbw_enumerated`).
+  six positive roots and a monomial-multiset count folded from a table of
+  partitions, one per root (`product_side`, `pbw_enumerated`).
 
 All three produce the same exact-integer `TruncatedSeries` in q, y1, y2 up
 to any finite q-truncation; the test suite and the ``qpchar verify`` command

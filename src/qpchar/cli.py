@@ -83,9 +83,12 @@ def _qmax_ceiling() -> int:
     if raw is None:
         return QMAX_CEILING_DEFAULT
     try:
-        return int(raw)
+        ceiling = int(raw)
     except ValueError:
         raise SystemExit(_fail_usage(f"{QMAX_CEILING_ENV} must be an integer, got {raw!r}"))
+    if ceiling < 0:
+        raise SystemExit(_fail_usage(f"{QMAX_CEILING_ENV} must be >= 0, got {raw!r}"))
+    return ceiling
 
 
 def _spec_for(space: str, level: int | None) -> ModuleSpec:
@@ -133,7 +136,12 @@ def verify_conjugation(trials: int, seed: int) -> tuple[int, list[str]]:
     Per trial: conjugation is an involution preserving the part sum, the
     same-color energies agree across conjugation, and the cross-color
     energies agree on an independent pair.  Returns (exit_code, report).
+    `trials` must be an int (not a bool) >= 1.
     """
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise TypeError(f"trials must be an int, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     for t in range(trials):
         p = _random_partition(rng)

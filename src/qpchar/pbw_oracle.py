@@ -14,8 +14,12 @@ their (y1, y2) weights in the simple-root basis:
 `product_side` computes prod over roots, prod over m >= 1, of
 1/(1 - q^m y1^a y2^b) by dividing the series 1 in place by each
 1 - q^m y1^a y2^b in turn.  `pbw_enumerated` counts monomial multisets
-directly, never touching series arithmetic, so the two agree only if both
-are right.
+directly.  A multiset picks, independently for each root, the partition
+formed by the energies of that root's factors, so it lists the partitions
+of every energy up to qmax once, as a table {(energy, number of parts):
+count}, and folds that table over the six roots.  The count never touches
+series arithmetic or `divide_geometric`, so the two agree only if both are
+right.
 """
 
 from typing import NamedTuple
@@ -52,30 +56,44 @@ def product_side(qmax: int) -> TruncatedSeries:
     )
 
 
+def _partition_table(qmax: int) -> dict[tuple[int, int], int]:
+    """{(e, n): number of partitions of e into n parts} for every e <= qmax,
+    listed one by one with weakly decreasing parts; keys in increasing e."""
+    table: dict[tuple[int, int], int] = {}
+
+    def grow(top: int, left: int, e: int, n: int) -> None:
+        table[e, n] = table.get((e, n), 0) + 1
+        for part in range(1, min(top, left) + 1):
+            grow(part, left - part, e + part, n + 1)
+
+    grow(qmax, qmax, 0, 0)
+    return dict(sorted(table.items()))
+
+
 def pbw_enumerated(qmax: int) -> TruncatedSeries:
     """Count multisets of (root, negative mode) pairs with total energy
-    <= qmax by direct recursive enumeration.
+    <= qmax.
 
-    Roots are processed in generator order; for each root the energies of
-    its factors form a partition of part of the remaining budget, generated
-    with weakly decreasing parts so each multiset appears once.
+    The energies of one root's factors form a partition, chosen
+    independently of the other roots.  So the count takes the table of
+    partitions by (energy e, number of parts n) once, and folds the roots in
+    generator order over running {(q, y1_deg, y2_deg): count} states: a
+    state at q meets every (e, n) with q + e <= qmax, and n factors of root
+    (a, b) add (n*a, n*b) to the color degrees.  Plain integer counting,
+    no series arithmetic; one `TruncatedSeries` is built at the end.
     """
     validate_trunc(qmax)
-    terms: dict[tuple[int, int, int], int] = {}
-
-    def next_root(i: int, budget: int, q: int, u: int, v: int) -> None:
-        if i == len(POSITIVE_ROOTS):
-            key = (q, u, v)
-            terms[key] = terms.get(key, 0) + 1
-            return
-        root = POSITIVE_ROOTS[i]
-
-        def grow(top: int, left: int, q2: int, u2: int, v2: int) -> None:
-            next_root(i + 1, left, q2, u2, v2)
-            for part in range(1, min(top, left) + 1):
-                grow(part, left - part, q2 + part, u2 + root.y1, v2 + root.y2)
-
-        grow(budget, budget, q, u, v)
-
-    next_root(0, qmax, 0, 0, 0)
-    return TruncatedSeries(qmax, terms)
+    table = _partition_table(qmax)
+    states: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
+    for root in POSITIVE_ROOTS:
+        a, b = root.y1, root.y2
+        folded: dict[tuple[int, int, int], int] = {}
+        get = folded.get
+        for (q, u, v), c in states.items():
+            for (e, n), k in table.items():
+                if q + e > qmax:
+                    break
+                key = (q + e, u + n * a, v + n * b)
+                folded[key] = get(key, 0) + c * k
+        states = folded
+    return TruncatedSeries(qmax, states)

@@ -171,7 +171,11 @@ def divide_geometric(layers: list[dict[tuple[int, int], int]], m: int, a: int, b
     1 - t is the single sweep c[q] += t * c[q - m] in increasing q: each
     layer read has already been divided.  A cancellation may leave a zero
     entry behind; `TruncatedSeries` drops those when built from the layers.
+    The exponents must be ints (not bools), as truncation orders must.
     """
+    for name, value in (("m", m), ("a", a), ("b", b)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"exponent {name} must be an int, got {value!r}")
     if m < 1:
         raise NonPositiveExponent(f"geometric factor needs q-step >= 1, got {m}")
     if a < 0 or b < 0:

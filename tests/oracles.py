@@ -6,7 +6,9 @@ of it reuses the library's enumeration or series machinery beyond the
 validator `is_valid` (the mode-search oracle is by definition an exhaustive
 scan within that validator's bounds) and the index-set enumerator behind
 `pair_sum_character`, the pair-by-pair form of the fermionic sum that the
-block recursion replaced.
+block recursion replaced.  `brute_pbw_multisets` is the leaf-by-leaf PBW
+multiset recursion that the partition-table count in `pbw_enumerated`
+replaced.
 """
 
 import itertools
@@ -42,6 +44,34 @@ def brute_product_side(qmax: int) -> dict:
             factor = {(j * m, j * a, j * b): 1 for j in range(qmax // m + 1)}
             out = brute_mul(out, factor, qmax)
     return out
+
+
+def brute_pbw_multisets(qmax: int) -> dict:
+    """Count PBW monomial multisets one recursion leaf at a time.
+
+    Roots are taken in generator order; the energies of one root's factors
+    form a partition of part of the remaining budget, grown with weakly
+    decreasing parts so each multiset reaches exactly one leaf.  The root
+    weights are restated here so the oracle shares nothing with
+    `pbw_oracle`."""
+    roots = ((0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3))
+    terms: dict[tuple[int, int, int], int] = {}
+
+    def next_root(i: int, budget: int, q: int, u: int, v: int) -> None:
+        if i == len(roots):
+            terms[q, u, v] = terms.get((q, u, v), 0) + 1
+            return
+        a, b = roots[i]
+
+        def grow(top: int, left: int, q2: int, u2: int, v2: int) -> None:
+            next_root(i + 1, left, q2, u2, v2)
+            for part in range(1, min(top, left) + 1):
+                grow(part, left - part, q2 + part, u2 + a, v2 + b)
+
+        grow(budget, budget, q, u, v)
+
+    next_root(0, qmax, 0, 0, 0)
+    return terms
 
 
 def _partitions_in_box(max_len: int, max_part: int):

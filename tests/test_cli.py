@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qpchar.cli import QMAX_CEILING_ENV, _report_compare, main
+from qpchar.cli import QMAX_CEILING_ENV, _report_compare, main, verify_conjugation
 from qpchar.series import TruncatedSeries
 
 
@@ -111,6 +111,13 @@ def test_ceiling_env_must_be_integer(capsys, monkeypatch):
     assert code == 2 and QMAX_CEILING_ENV in err
 
 
+def test_ceiling_env_must_not_be_negative(capsys, monkeypatch):
+    monkeypatch.setenv(QMAX_CEILING_ENV, "-1")
+    code, out, err = run(capsys, "verify", "--check", "pbw", "--qmax", "0")
+    assert code == 2 and out == ""
+    assert QMAX_CEILING_ENV in err and "exceeds" not in err
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_identity(capsys):
@@ -138,6 +145,12 @@ def test_verify_pbw(capsys):
     assert "pbw: ok" in out
 
 
+def test_verify_pbw_deep(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "pbw", "--qmax", "16")
+    assert code == 0
+    assert out == "pbw: ok (qmax=16, 5577 coefficients)\n"
+
+
 def test_verify_stabilize(capsys):
     code, out, _ = run(capsys, "verify", "--check", "stabilize", "--qmax", "4")
     assert code == 0
@@ -156,6 +169,13 @@ def test_verify_conjugation_default_trials(capsys):
     code, out, _ = run(capsys, "verify", "--check", "conjugation")
     assert code == 0
     assert "1000/1000 ok" in out
+
+
+@pytest.mark.parametrize("trials,error", [(0, ValueError), (-3, ValueError),
+                                          (2.0, TypeError), (True, TypeError)])
+def test_verify_conjugation_rejects_bad_trials(trials, error):
+    with pytest.raises(error):
+        verify_conjugation(trials, 0)
 
 
 # --- mismatch reporting -----------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_product_side, colored_partition_counts
+from oracles import brute_pbw_multisets, brute_product_side, colored_partition_counts
 from qpchar import pbw_oracle
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.pbw_oracle import POSITIVE_ROOTS, pbw_enumerated, product_side
@@ -57,6 +57,27 @@ def test_product_side_matches_multiplied_out(qmax):
 @pytest.mark.parametrize("qmax", [0, 1, 3, 5])
 def test_enumeration_equals_product(qmax):
     assert pbw_enumerated(qmax) == product_side(qmax)
+
+
+@pytest.mark.parametrize("qmax", [16, 20])
+def test_enumeration_equals_product_deep(qmax):
+    # past acceptance criterion 2 (qmax 8): 12.5M and 165M multisets
+    assert pbw_enumerated(qmax) == product_side(qmax)
+
+
+@pytest.mark.parametrize("qmax", range(11))
+def test_pbw_enumerated_matches_leaf_recursion(qmax):
+    assert dict(pbw_enumerated(qmax).terms) == brute_pbw_multisets(qmax)
+
+
+def test_partition_table_counts_partitions():
+    # summed over the number of parts, the table is the partition function
+    table = pbw_oracle._partition_table(12)
+    by_energy = [0] * 13
+    for (e, _n), count in table.items():
+        by_energy[e] += count
+    assert by_energy == colored_partition_counts(12, colors=1)
+    assert len(table) == 79
 
 
 @pytest.mark.parametrize("qmax", [0, 2, 5])

@@ -240,6 +240,17 @@ def test_divide_geometric_rejects_negative_color(a, b):
         divide_geometric(_layers(_one(3)), 1, a, b)
 
 
+@pytest.mark.parametrize(
+    "m,a,b",
+    [(1.0, 1, 0), (True, 1, 0), (1, 0.5, 0), (1, True, 0), (1, 0, 2.0), (1, 0, False)],
+)
+def test_divide_geometric_rejects_non_int_exponent(m, a, b):
+    layers = _layers(_one(3))
+    with pytest.raises(TypeError):
+        divide_geometric(layers, m, a, b)
+    assert layers == _layers(_one(3))
+
+
 @given(
     series_st,
     st.integers(1, TRUNC + 1),
