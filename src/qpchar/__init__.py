@@ -2,8 +2,8 @@
 for the affine Lie algebra of type G2, computed by three independent methods:
 
 * a fermionic sum over dual charge counts (`character_fermionic`),
-* exhaustive enumeration of quasi-particle monomials satisfying the
-  difference conditions (`enumerate_basis`),
+* a count of the quasi-particle monomials satisfying the difference
+  conditions (`enumerate_basis`),
 * for the generalized Verma module, the PBW side: an Euler product over the
   six positive roots and a monomial-multiset count folded from a table of
   partitions, one per root (`product_side`, `pbw_enumerated`).

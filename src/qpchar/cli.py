@@ -136,12 +136,17 @@ def verify_conjugation(trials: int, seed: int) -> tuple[int, list[str]]:
     Per trial: conjugation is an involution preserving the part sum, the
     same-color energies agree across conjugation, and the cross-color
     energies agree on an independent pair.  Returns (exit_code, report).
-    `trials` must be an int (not a bool) >= 1.
+    `trials` must be an int (not a bool) >= 1, and `seed` an int (not a
+    bool) in [0, 2**64), the range the command line accepts.
     """
     if not isinstance(trials, int) or isinstance(trials, bool):
         raise TypeError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rng = random.Random(seed)
     for t in range(trials):
         p = _random_partition(rng)

@@ -23,7 +23,8 @@ time.  A pair (r1, r2) has at most k blocks iff len(r1) <= k and
 len(r2) <= 3k, so the level-k caps become "at most k blocks".
 
 `enumerate_dual_charge_types` lists the index set explicitly; the
-quasi-particle enumeration builds on it, the fermionic sum does not.
+per-monomial quasi-particle walk (`iter_basis_monomials`) builds on it, the
+fermionic sum and the basis count do not.
 """
 
 from dataclasses import dataclass
@@ -76,6 +77,12 @@ class ModuleSpec:
         return f"level-{self.level} standard module"
 
 
+def validate_spec(spec) -> None:
+    """Raise TypeError unless `spec` is a `ModuleSpec`."""
+    if not isinstance(spec, ModuleSpec):
+        raise TypeError(f"spec must be a ModuleSpec, got {spec!r}")
+
+
 def _min_block(a: int) -> int:
     # minimal exponent contribution of a block with color-1 count a, i.e.
     # min over integers x,y,z >= 0 of a^2 + x^2 + y^2 + z^2 - a(x+y+z)
@@ -102,6 +109,7 @@ def enumerate_dual_charge_types(spec: ModuleSpec, qmax: int) -> list[DualChargeT
     Every emitted pair is checked against the budget before inclusion, hence
     the returned set is exactly the stated one, without duplicates.
     """
+    validate_spec(spec)
     validate_trunc(qmax)
     cap1 = spec.color1_cap
     cap2 = spec.color2_cap
@@ -230,6 +238,7 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     the in-place geometric pass: one sweep c[j] += c[j-i] per factor
     1/(1-q^i).
     """
+    validate_spec(spec)
     validate_trunc(qmax)
     cache: dict[tuple[int, ...], list[int]] = {}
 

@@ -8,7 +8,9 @@ scan within that validator's bounds) and the index-set enumerator behind
 `pair_sum_character`, the pair-by-pair form of the fermionic sum that the
 block recursion replaced.  `brute_pbw_multisets` is the leaf-by-leaf PBW
 multiset recursion that the partition-table count in `pbw_enumerated`
-replaced.
+replaced.  `per_type_basis_count` is the charge-type-by-charge-type basis
+count that the color-1-grouped count in `enumerate_basis` replaced; it
+walks the library's per-monomial path, `_charge_types`.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from math import isqrt
 
 from qpchar.fermionic import enumerate_dual_charge_types
 from qpchar.partitions import DualChargeType, total_exponent
-from qpchar.qp_enum import QPMonomial, is_valid
+from qpchar.qp_enum import QPMonomial, _charge_types, is_valid
 from qpchar.series import TruncatedSeries
 
 
@@ -204,6 +206,30 @@ def brute_basis_series(spec, qmax: int) -> dict:
                     terms[key] = terms.get(key, 0) + 1
     # the empty charge list contributes the empty monomial at (0, 0, 0)
     return terms
+
+
+def per_type_basis_count(spec, qmax: int) -> TruncatedSeries:
+    """Count the basis one charge type (n1, n2) at a time.
+
+    Every mode vector of each color is walked by `_charge_types`; the pairs
+    are counted, not built: the count at total energy e is the product of
+    the two colors' energy histograms, summed over e1 + e2 = e.
+    """
+    terms: dict[tuple[int, int, int], int] = {}
+    for n1, n2, vecs1, vecs2 in _charge_types(spec, qmax):
+        r1, r2 = sum(n1), sum(n2)
+        hist1: dict[int, int] = {}
+        for e, _modes in vecs1:
+            hist1[e] = hist1.get(e, 0) + 1
+        hist2: dict[int, int] = {}
+        for e, _modes in vecs2:
+            hist2[e] = hist2.get(e, 0) + 1
+        for e1, c1 in hist1.items():
+            for e2, c2 in hist2.items():
+                if e1 + e2 <= qmax:
+                    key = (e1 + e2, r1, r2)
+                    terms[key] = terms.get(key, 0) + c1 * c2
+    return TruncatedSeries(qmax, terms)
 
 
 def colored_partition_counts(qmax: int, colors: int = 6) -> list[int]:

@@ -178,6 +178,20 @@ def test_verify_conjugation_rejects_bad_trials(trials, error):
         verify_conjugation(trials, 0)
 
 
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (2 ** 64, ValueError),
+                                        (2 ** 70, ValueError), (1.5, TypeError),
+                                        (True, TypeError)])
+def test_verify_conjugation_rejects_bad_seed(seed, error):
+    # seed -1 would silently rerun the trials of seed 1
+    with pytest.raises(error):
+        verify_conjugation(10, seed)
+
+
+def test_verify_conjugation_accepts_seed_range_ends():
+    assert verify_conjugation(5, 0)[0] == 0
+    assert verify_conjugation(5, 2 ** 64 - 1)[0] == 0
+
+
 # --- mismatch reporting -----------------------------------------------------
 
 def test_mismatch_reports_first_key_and_both_coefficients(capsys):

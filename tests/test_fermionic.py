@@ -29,6 +29,13 @@ def test_spec_rejects_non_int_level(level):
         ModuleSpec(level=level)
 
 
+@pytest.mark.parametrize("entry", [character_fermionic, enumerate_dual_charge_types])
+@pytest.mark.parametrize("spec", [None, "L", 1, ModuleSpec])
+def test_entry_points_reject_non_spec(entry, spec):
+    with pytest.raises(TypeError):
+        entry(spec, 3)
+
+
 def test_spec_describe():
     assert "level-3" in S3.describe()
     assert "Verma" in V.describe()

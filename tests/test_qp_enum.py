@@ -1,12 +1,19 @@
+import itertools
 from collections import Counter
 
 import pytest
 
-from oracles import brute_basis_series
+from oracles import brute_basis_series, per_type_basis_count
 from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.partitions import DualChargeType, conjugate, total_exponent
-from qpchar.qp_enum import QPMonomial, enumerate_basis, is_valid, iter_basis_monomials
+from qpchar.qp_enum import (
+    QPMonomial,
+    _run_slack,
+    enumerate_basis,
+    is_valid,
+    iter_basis_monomials,
+)
 
 S1 = ModuleSpec.standard(1)
 S2 = ModuleSpec.standard(2)
@@ -54,13 +61,36 @@ def test_equal_charges_need_gap_two():
 
 
 def test_enumerate_basis_rejects_float_truncation(monkeypatch):
-    # rejected before the index set is enumerated
+    # rejected before the color-1 charge lists are generated
     def refuse(*_args):
-        raise AssertionError("index set enumerated for a bad truncation")
+        raise AssertionError("charge lists generated for a bad truncation")
 
-    monkeypatch.setattr(qp_enum, "enumerate_dual_charge_types", refuse)
+    monkeypatch.setattr(qp_enum, "_color1_charge_lists", refuse)
     with pytest.raises(TypeError):
         enumerate_basis(S1, 2.0)
+
+
+@pytest.mark.parametrize("spec", [None, "L", 1, ModuleSpec])
+def test_enumerate_basis_rejects_non_spec(monkeypatch, spec):
+    def refuse(*_args):
+        raise AssertionError("charge lists generated for a bad spec")
+
+    monkeypatch.setattr(qp_enum, "_color1_charge_lists", refuse)
+    with pytest.raises(TypeError):
+        enumerate_basis(spec, 3)
+
+
+@pytest.mark.parametrize("spec", [None, "L", 1, ModuleSpec])
+def test_iter_basis_monomials_rejects_non_spec(spec):
+    # raised at the call, not at the first item
+    with pytest.raises(TypeError):
+        iter_basis_monomials(spec, 3)
+
+
+@pytest.mark.parametrize("spec", [None, "L", 1, ModuleSpec])
+def test_is_valid_rejects_non_spec(spec):
+    with pytest.raises(TypeError):
+        is_valid(QPMonomial(), spec)
 
 
 @pytest.mark.parametrize("qmax,error", [(2.5, TypeError), (2.0, TypeError), (True, TypeError), (-1, ValueError)])
@@ -122,6 +152,52 @@ def test_spot_value_q2_y2sq():
     assert enumerate_basis(S1, 2).coeff((2, 0, 2)) == 1
 
 
+# --- run slack tables --------------------------------------------------------
+
+@pytest.mark.parametrize("color", [1, 2])
+@pytest.mark.parametrize("length,charge", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 3), (4, 1)])
+def test_run_slack_counts_valid_runs(color, length, charge):
+    # every run of `length` equal charges that is_valid accepts, found by a
+    # box search over modes at most `tmax` below their bounds; color 2 sits
+    # beside one color-1 particle of charge 1 at its bound, so its bounds
+    # carry the cross term min(3, charge)
+    tmax = 6
+    cross = min(3, charge) if color == 2 else 0
+    bounds = [-charge * (1 + 2 * p) + cross for p in range(length)]
+    want = [0] * (tmax + 1)
+    for modes in itertools.product(*(range(b - tmax, b + 1) for b in bounds)):
+        run = tuple((charge, m) for m in modes)
+        b = QPMonomial(color1=run) if color == 1 else QPMonomial(color1=((1, -1),), color2=run)
+        excess = sum(bounds) - sum(modes)
+        if excess <= tmax and is_valid(b, V):
+            want[excess] += 1
+    assert _run_slack(length, tmax) == want
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_run_slack_is_partitions_into_at_most_l_parts(length):
+    # the expansion of 1/(q)_l: one geometric factor 1/(1 - q^i) per i <= l
+    tmax = 15
+    want = [1] + [0] * tmax
+    for i in range(1, length + 1):
+        for j in range(i, tmax + 1):
+            want[j] += want[j - i]
+    assert _run_slack(length, tmax) == want
+
+
+# --- the color-1-grouped count vs the per-type count --------------------------
+
+@pytest.mark.parametrize("spec", [S1, S2, S3, ModuleSpec.standard(4)], ids=["L1", "L2", "L3", "L4"])
+def test_enumerate_equals_per_type_count_standard(spec):
+    for qmax in range(13):
+        assert enumerate_basis(spec, qmax) == per_type_basis_count(spec, qmax), qmax
+
+
+def test_enumerate_equals_per_type_count_verma():
+    for qmax in range(11):
+        assert enumerate_basis(V, qmax) == per_type_basis_count(V, qmax), qmax
+
+
 # --- agreement with the fermionic sum ----------------------------------------
 
 @pytest.mark.parametrize("spec", [S1, S2, V])
@@ -137,8 +213,8 @@ def test_enumeration_equals_fermionic_sum_deep(spec):
 
 @pytest.mark.parametrize(
     "spec,qmax",
-    [(S1, 20), (S2, 16), (S3, 13), (V, 12)],
-    ids=["L1-20", "L2-16", "L3-13", "V-12"],
+    [(S1, 20), (S2, 16), (S3, 13), (V, 12), (S3, 20), (V, 16)],
+    ids=["L1-20", "L2-16", "L3-13", "V-12", "L3-20", "V-16"],
 )
 def test_enumeration_equals_fermionic_sum_deeper(spec, qmax):
     # past the benchmark's basis points (L k=1,2,3 at qmax 16, 13, 11)
@@ -168,8 +244,8 @@ def test_every_enumerated_monomial_revalidates():
 @pytest.mark.parametrize("spec", [S1, S2, S3, V], ids=["L1", "L2", "L3", "V"])
 @pytest.mark.parametrize("qmax", range(9))
 def test_histogram_count_equals_generator_count(spec, qmax):
-    # enumerate_basis counts by energy histograms; the generator pairs the
-    # same mode vectors one monomial at a time
+    # enumerate_basis counts per color-1 charge list; the generator walks
+    # each charge type's mode vectors and pairs them one monomial at a time
     got = enumerate_basis(spec, qmax).terms
     want = Counter((b.energy, *b.color_type) for b in iter_basis_monomials(spec, qmax))
     assert got == want
