@@ -11,10 +11,12 @@ for the affine Lie algebra of type G2, computed by three independent methods:
 All three produce the same exact-integer `TruncatedSeries` in q, y1, y2 up
 to any finite q-truncation; the test suite and the ``qpchar verify`` command
 check those agreements, including the generalized Euler-Cauchy identity
-equating the product with the cap-free fermionic sum.
+equating the product with the cap-free fermionic sum.  The fermionic sum
+never lists its index set; the per-monomial walk does, through
+`qpchar.qp_enum.enumerate_dual_charge_types`, which is not exported here.
 """
 
-from .fermionic import ModuleSpec, character_fermionic, enumerate_dual_charge_types
+from .fermionic import ModuleSpec, character_fermionic
 from .partitions import (
     DualChargeType,
     Partition,
@@ -23,7 +25,6 @@ from .partitions import (
     diag_energy_from_dual,
     mixed_energy_from_charges,
     mixed_energy_from_dual,
-    total_exponent,
     validate_partition,
 )
 from .pbw_oracle import POSITIVE_ROOTS, PositiveRoot, pbw_enumerated, product_side
@@ -43,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ModuleSpec",
     "character_fermionic",
-    "enumerate_dual_charge_types",
     "DualChargeType",
     "Partition",
     "conjugate",
@@ -51,7 +51,6 @@ __all__ = [
     "diag_energy_from_dual",
     "mixed_energy_from_charges",
     "mixed_energy_from_dual",
-    "total_exponent",
     "validate_partition",
     "POSITIVE_ROOTS",
     "PositiveRoot",

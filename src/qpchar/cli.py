@@ -28,7 +28,7 @@ from .pbw_oracle import pbw_enumerated, product_side
 from .qp_enum import enumerate_basis
 from .series import TruncatedSeries
 
-QMAX_CEILING_DEFAULT = 16
+QMAX_CEILING_DEFAULT = 20
 QMAX_CEILING_ENV = "QPCHAR_QMAX_CEILING"
 
 CHAR_METHODS = ("fermionic", "enumerate", "pbw-product", "pbw-enumerate")

@@ -4,7 +4,8 @@ Both graded characters computed by this package have the shape
 
     sum over pairs of weakly decreasing count sequences (r1, r2) of
 
-        q^total_exponent(r1, r2)
+        q^(sum_s r1^(s)^2 + sum_t r2^(t)^2
+           - sum_s r1^(s) (r2^(3s-2) + r2^(3s-1) + r2^(3s)))
         / prod_t (q)_{r1^(t) - r1^(t+1)} / prod_t (q)_{r2^(t) - r2^(t+1)}
         * y1^(sum r1) * y2^(sum r2)
 
@@ -21,15 +22,10 @@ every Pochhammer difference involve only the block and its predecessor's
 a and z, so the whole sum is a recursion that appends one nonzero block at a
 time.  A pair (r1, r2) has at most k blocks iff len(r1) <= k and
 len(r2) <= 3k, so the level-k caps become "at most k blocks".
-
-`enumerate_dual_charge_types` lists the index set explicitly; the
-per-monomial quasi-particle walk (`iter_basis_monomials`) builds on it, the
-fermionic sum and the basis count do not.
 """
 
 from dataclasses import dataclass
 
-from .partitions import DualChargeType
 from .series import TruncatedSeries, validate_trunc
 
 
@@ -81,101 +77,6 @@ def validate_spec(spec) -> None:
     """Raise TypeError unless `spec` is a `ModuleSpec`."""
     if not isinstance(spec, ModuleSpec):
         raise TypeError(f"spec must be a ModuleSpec, got {spec!r}")
-
-
-def _min_block(a: int) -> int:
-    # minimal exponent contribution of a block with color-1 count a, i.e.
-    # min over integers x,y,z >= 0 of a^2 + x^2 + y^2 + z^2 - a(x+y+z)
-    return (a * a + 3) // 4
-
-
-def enumerate_dual_charge_types(spec: ModuleSpec, qmax: int) -> list[DualChargeType]:
-    """All pairs (r1, r2) with total_exponent <= qmax under the spec's caps.
-
-    The search is recursive descent, first over r1 entries then over r2
-    entries, both weakly decreasing.  Pruning is by exact lower bounds on the
-    exponent of any completion:
-
-    * an r1 prefix with entries a_s can always be completed at cost exactly
-      sum_s ceil(a_s^2/4) (take each color-2 block entry as close to a_s/2 as
-      integers allow; the choices are weakly decreasing because the a_s are),
-      so prefixes are extended iff that floor stays within budget;
-    * an r2 prefix is extended with entry x at flattened position j only if
-      the accumulated exponent plus sum over remaining positions of
-      min_{0 <= x' <= x} (x'^2 - a x') still fits.  Those per-position minima
-      are <= 0, so the bound is valid, and positions past the last r1 block
-      contribute x'^2 >= 0, so the recursion terminates.
-
-    Every emitted pair is checked against the budget before inclusion, hence
-    the returned set is exactly the stated one, without duplicates.
-    """
-    validate_spec(spec)
-    validate_trunc(qmax)
-    cap1 = spec.color1_cap
-    cap2 = spec.color2_cap
-    out: list[DualChargeType] = []
-
-    def descend_r2(r1: tuple[int, ...]) -> None:
-        a = r1
-        nblocks = len(a)
-        total_a2 = sum(x * x for x in a)
-        a_head = a[0] if a else 1
-
-        def block_charge(j: int) -> int:
-            s = (j + 2) // 3  # 1-based position j sits in block ceil(j/3)
-            return a[s - 1] if s <= nblocks else 0
-
-        def suffix_floor(j: int, cap: int) -> int:
-            # minimal possible sum of x^2 - a*x over positions j..3*nblocks,
-            # each entry capped at `cap`; entries past 3*nblocks add >= 0
-            tot = 0
-            for jj in range(j, 3 * nblocks + 1):
-                aa = block_charge(jj)
-                t = min(cap, aa // 2)
-                tot += t * t - aa * t
-            return tot
-
-        xs: list[int] = []
-
-        def rec(j: int, cap: int | None, acc: int) -> None:
-            if total_a2 + acc <= qmax:
-                out.append(DualChargeType(a, tuple(xs)))
-            if cap2 is not None and j > cap2:
-                return
-            aa = block_charge(j)
-            x = 1
-            while cap is None or x <= cap:
-                acc2 = acc + x * x - aa * x
-                if total_a2 + acc2 + suffix_floor(j + 1, x) <= qmax:
-                    xs.append(x)
-                    rec(j + 1, x, acc2)
-                    xs.pop()
-                elif cap is None and x >= a_head:
-                    # past every parabola vertex: larger x only costs more
-                    break
-                x += 1
-
-        rec(1, None, 0)
-
-    prefix: list[int] = []
-
-    def descend_r1(cost: int) -> None:
-        descend_r2(tuple(prefix))
-        if cap1 is not None and len(prefix) >= cap1:
-            return
-        top = prefix[-1] if prefix else None
-        val = 1
-        while top is None or val <= top:
-            c = cost + _min_block(val)
-            if c > qmax:
-                break  # the block floor grows with the entry
-            prefix.append(val)
-            descend_r1(c)
-            prefix.pop()
-            val += 1
-
-    descend_r1(0)
-    return out
 
 
 def _next_blocks(a: int | None, pz: int | None, budget: int):

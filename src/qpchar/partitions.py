@@ -12,14 +12,16 @@ A quasi-particle monomial is described in two conjugate ways:
 
 The minimal energy of a monomial is naturally a sum of per-particle mode
 bounds over the charge list, but the character sum is indexed by dual counts.
-The three ``*_energy_*`` pairs below compute the same quantity from either
-side; their agreement under conjugation is what makes the two indexings
+The ``*_energy_*`` pairs below compute the same quantity from either side;
+their agreement under conjugation is what makes the two indexings
 interchangeable, and is checked property-style in the test suite.
 
 For the cross-color interaction the dual-count expression groups the color-2
 counts in threes: block s pairs the color-1 count r1^(s) with the color-2
 counts r2^(3s-2), r2^(3s-1), r2^(3s).  The factor three is the number of
-times the short simple root fits into the long one's pairing.
+times the short simple root fits into the long one's pairing.  The q-exponent
+of the character term indexed by (r1, r2) is the two diagonal energies from
+the dual side minus the mixed one.
 """
 
 from typing import NamedTuple
@@ -28,10 +30,11 @@ Partition = tuple[int, ...]
 
 
 def validate_partition(p: Partition) -> None:
-    """Raise ValueError unless p is a weakly decreasing tuple of positives."""
+    """Raise ValueError unless p is a weakly decreasing tuple of positive
+    ints; bools are refused."""
     prev = None
     for x in p:
-        if not isinstance(x, int) or x < 1:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise ValueError(f"partition entries must be positive integers: {p!r}")
         if prev is not None and x > prev:
             raise ValueError(f"partition entries must be weakly decreasing: {p!r}")
@@ -97,18 +100,3 @@ def mixed_energy_from_dual(d: DualChargeType) -> int:
         total += r1[s - 1] * triple
     return total
 
-
-def total_exponent(d: DualChargeType) -> int:
-    """q-exponent of the character term indexed by d:
-
-        sum r1^(s)^2 + sum r2^(s)^2 - sum_s r1^(s) * (three-block of r2).
-
-    Always >= 0, and zero only for the empty d: writing a = r1^(s) and
-    x, y, z for its color-2 block, each block equals
-    a^2/4 + (x-a/2)^2 + (y-a/2)^2 + (z-a/2)^2.
-    """
-    return (
-        diag_energy_from_dual(d.r1)
-        + diag_energy_from_dual(d.r2)
-        - mixed_energy_from_dual(d)
-    )

@@ -22,7 +22,8 @@ difference conditions checked by `is_valid`:
 * consecutive equal color-2 charges force a gap of at least 2n.
 
 Minimal-energy monomials take every mode at its bound, and their total
-energy is exactly `total_exponent` of the monomial's dual counts.
+energy is exactly the q-exponent of the fermionic term at the monomial's dual
+counts (`total_exponent` in the test oracles).
 
 Since charges weakly decrease, the p-th bound (0-based) of a particle of
 charge n is -n(1 + 2p), plus the cross sum for color 2.  Inside a run of
@@ -32,21 +33,24 @@ minimum plus a weakly increasing sequence of l slacks: the run's slack table
 T_l (`_run_slack`), which counts partitions into at most l parts.
 
 `enumerate_basis` counts the basis without listing charge types: it takes
-each color-1 charge list n1 once (`_color1_charge_lists`), builds its
-color-1 energy histogram from the slack tables of its runs, and counts every
-color-2 charge list at once with a DP over charge values
-(`_color2_counts`).  `iter_basis_monomials` builds the monomials themselves,
-one charge type (n1, n2) at a time, by walking each color's mode vectors
-(`_charge_types`, `_mode_vectors`); the tests check the two against each
-other.
+each color-1 charge list n1 once, builds its color-1 energy histogram from
+the slack tables of its runs, and counts every color-2 charge list at once
+with a DP over charge values (`_color2_counts`).  `iter_basis_monomials`
+builds the monomials themselves, one charge type (n1, n2) at a time, by
+walking each color's mode vectors (`_charge_types`, `_mode_vectors`) over
+the index set of the fermionic sum, `enumerate_dual_charge_types`; the
+tests check the two against each other.  Both take their color-1 dual
+counts r1 from the one generator `_color1_dual_counts`, so that walk is
+checked against an exhaustive box and the fermionic sum, not between them.
 """
 
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterator
 
-from .fermionic import ModuleSpec, enumerate_dual_charge_types, validate_spec
+from .fermionic import ModuleSpec, validate_spec
 from .partitions import (
+    DualChargeType,
     Partition,
     conjugate,
     diag_energy_from_charges,
@@ -71,7 +75,7 @@ class QPMonomial:
         for pairs in (self.color1, self.color2):
             validate_partition(tuple(n for n, _m in pairs))
             for _n, m in pairs:
-                if not isinstance(m, int):
+                if not isinstance(m, int) or isinstance(m, bool):
                     raise ValueError(f"mode {m!r} is not an integer")
 
     @property
@@ -173,6 +177,106 @@ def _mode_vectors(charges: Partition, bounds: list[int], max_energy: int) -> Mod
     return out
 
 
+def _color1_dual_counts(spec: ModuleSpec, qmax: int) -> Iterator[Partition]:
+    """Every color-1 dual count sequence r1 of a basis monomial of energy
+    <= qmax; its conjugate is the monomial's color-1 charge list n1.
+
+    r1 is weakly decreasing with at most k entries at level k.  The least
+    energy of a monomial with these color-1 charges is the dual-count floor,
+    the sum over r1 of ceil(a^2/4): each block of the dual-count exponent,
+    a^2 + x^2 + y^2 + z^2 - a(x+y+z), is least with x, y, z as close to a/2
+    as integers allow, and those choices weakly decrease with a.  The floor
+    grows with each entry, so r1 is extended while it stays <= qmax.  Each
+    prefix comes before its extensions, and those by increasing entry.
+    """
+    cap = spec.color1_cap
+    r1: list[int] = []
+
+    def grow(floor: int) -> Iterator[Partition]:
+        yield tuple(r1)
+        if cap is not None and len(r1) >= cap:
+            return
+        a = 1
+        while not r1 or a <= r1[-1]:
+            f = floor + (a * a + 3) // 4
+            if f > qmax:
+                break
+            r1.append(a)
+            yield from grow(f)
+            r1.pop()
+            a += 1
+
+    return grow(0)
+
+
+def enumerate_dual_charge_types(spec: ModuleSpec, qmax: int) -> list[DualChargeType]:
+    """All pairs (r1, r2) under the spec's caps whose q-exponent in the
+    fermionic sum, sum r1^2 + sum r2^2 - sum_s r1^(s) * (r2^(3s-2) +
+    r2^(3s-1) + r2^(3s)), is <= qmax: the sum's index set.
+
+    r1 runs over `_color1_dual_counts`, whose floor is exactly the least
+    exponent of any pair with that r1.  Each r2 is then found by recursive
+    descent over weakly decreasing entries: an r2 prefix is extended with
+    entry x at flattened position j only if the accumulated exponent plus
+    sum over remaining positions of min_{0 <= x' <= x} (x'^2 - a x') still
+    fits.  Those per-position minima are <= 0, so the bound is valid, and
+    positions past the last r1 block contribute x'^2 >= 0, so the recursion
+    terminates.
+
+    Every emitted pair is checked against the budget before inclusion, hence
+    the returned set is exactly the stated one, without duplicates.
+    """
+    validate_spec(spec)
+    validate_trunc(qmax)
+    cap2 = spec.color2_cap
+    out: list[DualChargeType] = []
+
+    def descend_r2(a: Partition) -> None:
+        nblocks = len(a)
+        total_a2 = sum(x * x for x in a)
+        a_head = a[0] if a else 1
+
+        def block_charge(j: int) -> int:
+            s = (j + 2) // 3  # 1-based position j sits in block ceil(j/3)
+            return a[s - 1] if s <= nblocks else 0
+
+        def suffix_floor(j: int, cap: int) -> int:
+            # minimal possible sum of x^2 - a*x over positions j..3*nblocks,
+            # each entry capped at `cap`; entries past 3*nblocks add >= 0
+            tot = 0
+            for jj in range(j, 3 * nblocks + 1):
+                aa = block_charge(jj)
+                t = min(cap, aa // 2)
+                tot += t * t - aa * t
+            return tot
+
+        xs: list[int] = []
+
+        def rec(j: int, cap: int | None, acc: int) -> None:
+            if total_a2 + acc <= qmax:
+                out.append(DualChargeType(a, tuple(xs)))
+            if cap2 is not None and j > cap2:
+                return
+            aa = block_charge(j)
+            x = 1
+            while cap is None or x <= cap:
+                acc2 = acc + x * x - aa * x
+                if total_a2 + acc2 + suffix_floor(j + 1, x) <= qmax:
+                    xs.append(x)
+                    rec(j + 1, x, acc2)
+                    xs.pop()
+                elif cap is None and x >= a_head:
+                    # past every parabola vertex: larger x only costs more
+                    break
+                x += 1
+
+        rec(1, None, 0)
+
+    for r1 in _color1_dual_counts(spec, qmax):
+        descend_r2(r1)
+    return out
+
+
 def iter_basis_monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
     """Yield every valid monomial of total energy <= qmax, each exactly once.
 
@@ -252,37 +356,6 @@ def _run_slack(length: int, tmax: int) -> list[int]:
 
     walk(0, 0, 0)
     return counts
-
-
-def _color1_charge_lists(spec: ModuleSpec, qmax: int) -> Iterator[Partition]:
-    """Every color-1 charge list n1 of a basis monomial of energy <= qmax.
-
-    n1 is generated as the conjugate of its dual counts r1, weakly
-    decreasing with at most k entries at level k.  The least energy of a
-    monomial with these color-1 charges is the dual-count floor, the sum
-    over r1 of ceil(a^2/4): each block of the dual-count exponent,
-    a^2 + x^2 + y^2 + z^2 - a(x+y+z), is least with x, y, z as close to a/2
-    as integers allow, and those choices weakly decrease with a.  The floor
-    grows with each entry, so r1 is extended while it stays <= qmax.
-    """
-    cap = spec.color1_cap
-    r1: list[int] = []
-
-    def grow(floor: int) -> Iterator[Partition]:
-        yield conjugate(tuple(r1))
-        if cap is not None and len(r1) >= cap:
-            return
-        a = 1
-        while not r1 or a <= r1[-1]:
-            f = floor + (a * a + 3) // 4
-            if f > qmax:
-                break
-            r1.append(a)
-            yield from grow(f)
-            r1.pop()
-            a += 1
-
-    return grow(0)
 
 
 def _color2_counts(n1: Partition, budget: int, cap: int | None,
@@ -399,8 +472,8 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     monomial `iter_basis_monomials` yields.
 
     The conditions couple the colors only through the color-1 charges n1,
-    so the count runs once per n1 from `_color1_charge_lists`, never per
-    charge type (n1, n2).  The color-1 histogram of n1 is the product of
+    so the count runs once per n1, the conjugate of each r1 from
+    `_color1_dual_counts`, never per charge type (n1, n2).  The color-1 histogram of n1 is the product of
     its runs' slack tables T_l, shifted up to its greedy energy, the sum
     over p of n_p(1 + 2p); `_color2_counts` counts the color-2 vectors of
     every color-2 charge list at once.  Each color is budgeted against the
@@ -418,7 +491,8 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
         return run
 
     terms: dict[tuple[int, int, int], int] = {}
-    for n1 in _color1_charge_lists(spec, qmax):
+    for r1 in _color1_dual_counts(spec, qmax):
+        n1 = conjugate(r1)
         e1 = diag_energy_from_charges(n1)
         lo, counts2 = _color2_counts(n1, qmax - e1, spec.color2_cap, slack)
         room = qmax - e1 - lo  # slack the two colors share

@@ -5,9 +5,9 @@ Every character computed by this package is a value of this type.
 Coefficients are plain Python integers, so arithmetic is exact at any size;
 no floating point is used anywhere.  A series carries a uniform truncation
 order ``trunc``: the coefficient of q^m is tracked exactly for m <= trunc
-and discarded beyond that.  Combining two series therefore requires equal
-truncations; a mismatch is always a caller bug and raises instead of being
-silently reconciled.
+and discarded beyond that.  Comparing two series with `first_mismatch`
+requires equal truncations; a mismatch is always a caller bug and raises
+instead of being silently reconciled.
 
 Zero coefficients are never stored, so structural equality of the term maps
 is semantic equality of the truncated series.
@@ -17,7 +17,7 @@ coeff} dict per q-degree, so a long chain of divisions builds a single
 `TruncatedSeries` at the end.
 """
 
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 
 class SeriesError(ValueError):
@@ -25,7 +25,7 @@ class SeriesError(ValueError):
 
 
 class TruncationMismatch(SeriesError):
-    """Binary operation applied to series with different truncation orders."""
+    """Two series with different truncation orders were compared."""
 
 
 class NonPositiveExponent(SeriesError):
@@ -58,8 +58,9 @@ def validate_trunc(trunc) -> None:
 class TruncatedSeries:
     """Sparse integer series truncated at q^trunc.
 
-    Instances are immutable after construction and safe to share; all
-    operations return new series.
+    Instances are immutable after construction and safe to share.  Keys
+    are triples of ints >= 0 and coefficients are ints; bools are refused
+    for both.
     """
 
     __slots__ = ("trunc", "terms")
@@ -70,13 +71,15 @@ class TruncatedSeries:
         if terms:
             for key, c in terms.items():
                 q, u, v = key
+                if type(q) is not int or type(u) is not int or type(v) is not int:
+                    raise TypeError(f"exponents in key {key!r} must be ints")
                 if q < 0 or u < 0 or v < 0:
                     raise ValueError(f"negative exponent in key {key!r}")
                 if q > trunc:
                     raise OutOfTruncation(
                         f"key {key!r} has q_deg beyond truncation {trunc}"
                     )
-                if not isinstance(c, int):
+                if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"coefficient {c!r} is not an exact integer")
                 if c:
                     clean[SeriesKey(q, u, v)] = c
@@ -98,30 +101,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.trunc == other.trunc and self.terms == other.terms
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            merged[key] = merged.get(key, 0) + c
-        return TruncatedSeries(self.trunc, merged)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        trunc = self.trunc
-        # iterate the smaller factor in the outer loop
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, int, int], int] = {}
-        for (q1, u1, v1), c1 in a.items():
-            for (q2, u2, v2), c2 in b.items():
-                q = q1 + q2
-                if q > trunc:
-                    continue
-                key = (q, u1 + u2, v1 + v2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return TruncatedSeries(trunc, out)
 
     def first_mismatch(self, other: "TruncatedSeries") -> tuple[SeriesKey, int, int] | None:
         """The lexicographically first key where the two series differ, with
@@ -152,9 +131,6 @@ class TruncatedSeries:
         for (q, _u, _v), c in self.terms.items():
             out[q] += c
         return out
-
-    def __iter__(self) -> Iterator[tuple[SeriesKey, int]]:
-        return iter(self.sorted_terms())
 
     def __len__(self) -> int:
         return len(self.terms)

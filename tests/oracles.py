@@ -4,22 +4,41 @@ Everything here is deliberately naive: plain dict convolution, box searches
 over provably sufficient finite ranges, one-variable DP recurrences.  None
 of it reuses the library's enumeration or series machinery beyond the
 validator `is_valid` (the mode-search oracle is by definition an exhaustive
-scan within that validator's bounds) and the index-set enumerator behind
-`pair_sum_character`, the pair-by-pair form of the fermionic sum that the
-block recursion replaced.  `brute_pbw_multisets` is the leaf-by-leaf PBW
-multiset recursion that the partition-table count in `pbw_enumerated`
-replaced.  `per_type_basis_count` is the charge-type-by-charge-type basis
-count that the color-1-grouped count in `enumerate_basis` replaced; it
-walks the library's per-monomial path, `_charge_types`.
+scan within that validator's bounds) and the index-set enumerator
+`qp_enum.enumerate_dual_charge_types` behind `pair_sum_character`, the
+pair-by-pair form of the fermionic sum that the block recursion replaced.
+`total_exponent`, the q-exponent of one term of that sum, lives here: only
+the oracles and the tests evaluate the sum term by term.
+`brute_pbw_multisets` is the leaf-by-leaf PBW multiset recursion that the
+partition-table count in `pbw_enumerated` replaced.  `per_type_basis_count`
+is the charge-type-by-charge-type basis count that the color-1-grouped
+count in `enumerate_basis` replaced; it walks the library's per-monomial
+path, `_charge_types`, whose color-1 dual counts come from the same
+generator as `enumerate_basis`'s.
 """
 
 import itertools
 from math import isqrt
 
-from qpchar.fermionic import enumerate_dual_charge_types
-from qpchar.partitions import DualChargeType, total_exponent
-from qpchar.qp_enum import QPMonomial, _charge_types, is_valid
+from qpchar.partitions import DualChargeType, diag_energy_from_dual, mixed_energy_from_dual
+from qpchar.qp_enum import QPMonomial, _charge_types, enumerate_dual_charge_types, is_valid
 from qpchar.series import TruncatedSeries
+
+
+def total_exponent(d: DualChargeType) -> int:
+    """q-exponent of the character term indexed by d:
+
+        sum r1^(s)^2 + sum r2^(s)^2 - sum_s r1^(s) * (three-block of r2).
+
+    Always >= 0, and zero only for the empty d: writing a = r1^(s) and
+    x, y, z for its color-2 block, each block equals
+    a^2/4 + (x-a/2)^2 + (y-a/2)^2 + (z-a/2)^2.
+    """
+    return (
+        diag_energy_from_dual(d.r1)
+        + diag_energy_from_dual(d.r2)
+        - mixed_energy_from_dual(d)
+    )
 
 
 def brute_mul(a_terms: dict, b_terms: dict, trunc: int) -> dict:

@@ -1,0 +1,48 @@
+import pytest
+
+import qpchar
+import qpchar.fermionic
+import qpchar.partitions
+
+PUBLIC = {
+    "ModuleSpec",
+    "character_fermionic",
+    "DualChargeType",
+    "Partition",
+    "conjugate",
+    "diag_energy_from_charges",
+    "diag_energy_from_dual",
+    "mixed_energy_from_charges",
+    "mixed_energy_from_dual",
+    "validate_partition",
+    "POSITIVE_ROOTS",
+    "PositiveRoot",
+    "pbw_enumerated",
+    "product_side",
+    "QPMonomial",
+    "enumerate_basis",
+    "is_valid",
+    "iter_basis_monomials",
+    "SeriesError",
+    "TruncationMismatch",
+    "NonPositiveExponent",
+    "OutOfTruncation",
+    "SeriesKey",
+    "TruncatedSeries",
+    "divide_geometric",
+    "__version__",
+}
+
+
+def test_public_api_is_pinned():
+    assert len(qpchar.__all__) == len(set(qpchar.__all__))
+    assert set(qpchar.__all__) == PUBLIC
+    for name in qpchar.__all__:
+        assert hasattr(qpchar, name), name
+
+
+@pytest.mark.parametrize("module", [qpchar, qpchar.fermionic, qpchar.partitions])
+@pytest.mark.parametrize("name", ["enumerate_dual_charge_types", "total_exponent"])
+def test_internal_names_not_exported(module, name):
+    assert not hasattr(module, name)
+

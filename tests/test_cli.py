@@ -76,7 +76,7 @@ def test_char_deterministic(capsys):
         ("char", "--space", "L", "--level", "0", "--qmax", "3"),
         ("char", "--space", "L", "--level", "1", "--qmax", "-1"),
         ("char", "--space", "L", "--level", "1", "--qmax", "3", "--method", "pbw-product"),
-        ("char", "--space", "N", "--qmax", "17"),  # above the default ceiling
+        ("char", "--space", "N", "--qmax", "21"),  # above the default ceiling
         ("verify", "--check", "basis", "--qmax", "4"),  # missing space
         ("verify", "--check", "identity", "--qmax", "4", "--space", "N"),
         ("verify", "--check", "identity", "--qmax", "4", "--trials", "10"),
@@ -99,8 +99,8 @@ def test_unknown_flags_exit_two(capsys):
 
 
 def test_ceiling_env_raises_limit(capsys, monkeypatch):
-    monkeypatch.setenv(QMAX_CEILING_ENV, "18")
-    code, out, _ = run(capsys, "char", "--space", "L", "--level", "1", "--qmax", "17")
+    monkeypatch.setenv(QMAX_CEILING_ENV, "22")
+    code, out, _ = run(capsys, "char", "--space", "L", "--level", "1", "--qmax", "21")
     assert code == 0
     assert out.startswith("q,y1,y2,coeff\n")
 

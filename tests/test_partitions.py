@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import total_exponent
 from qpchar.partitions import (
     DualChargeType,
     conjugate,
@@ -9,7 +10,6 @@ from qpchar.partitions import (
     diag_energy_from_dual,
     mixed_energy_from_charges,
     mixed_energy_from_dual,
-    total_exponent,
     validate_partition,
 )
 
@@ -24,7 +24,7 @@ def test_validate_partition_accepts_valid():
         validate_partition(p)
 
 
-@pytest.mark.parametrize("bad", [(1, 2), (0,), (-1,), (2, 0)])
+@pytest.mark.parametrize("bad", [(1, 2), (0,), (-1,), (2, 0), (True,), (2, True), (1.0,)])
 def test_validate_partition_rejects(bad):
     with pytest.raises(ValueError):
         validate_partition(bad)

@@ -3,10 +3,10 @@ from collections import Counter
 
 import pytest
 
-from oracles import brute_basis_series, per_type_basis_count
+from oracles import brute_basis_series, per_type_basis_count, total_exponent
 from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
-from qpchar.partitions import DualChargeType, conjugate, total_exponent
+from qpchar.partitions import DualChargeType, conjugate
 from qpchar.qp_enum import (
     QPMonomial,
     _run_slack,
@@ -39,6 +39,16 @@ def test_monomial_requires_positive_charges():
         QPMonomial(color2=((0, -1),))
 
 
+@pytest.mark.parametrize(
+    "pairs", [((True, -1),), ((1, False),), ((2, -3), (True, -1)), ((1, -1.0),)]
+)
+def test_monomial_rejects_bool_and_float_entries(pairs):
+    with pytest.raises(ValueError):
+        QPMonomial(color1=pairs)
+    with pytest.raises(ValueError):
+        QPMonomial(color2=pairs)
+
+
 # --- is_valid ---------------------------------------------------------------
 
 def test_single_color1_particle():
@@ -61,11 +71,11 @@ def test_equal_charges_need_gap_two():
 
 
 def test_enumerate_basis_rejects_float_truncation(monkeypatch):
-    # rejected before the color-1 charge lists are generated
+    # rejected before the color-1 dual counts are generated
     def refuse(*_args):
-        raise AssertionError("charge lists generated for a bad truncation")
+        raise AssertionError("dual counts generated for a bad truncation")
 
-    monkeypatch.setattr(qp_enum, "_color1_charge_lists", refuse)
+    monkeypatch.setattr(qp_enum, "_color1_dual_counts", refuse)
     with pytest.raises(TypeError):
         enumerate_basis(S1, 2.0)
 
@@ -73,9 +83,9 @@ def test_enumerate_basis_rejects_float_truncation(monkeypatch):
 @pytest.mark.parametrize("spec", [None, "L", 1, ModuleSpec])
 def test_enumerate_basis_rejects_non_spec(monkeypatch, spec):
     def refuse(*_args):
-        raise AssertionError("charge lists generated for a bad spec")
+        raise AssertionError("dual counts generated for a bad spec")
 
-    monkeypatch.setattr(qp_enum, "_color1_charge_lists", refuse)
+    monkeypatch.setattr(qp_enum, "_color1_dual_counts", refuse)
     with pytest.raises(TypeError):
         enumerate_basis(spec, 3)
 
