@@ -12,8 +12,9 @@ All three produce the same exact-integer `TruncatedSeries` in q, y1, y2 up
 to any finite q-truncation; the test suite and the ``qpchar verify`` command
 check those agreements, including the generalized Euler-Cauchy identity
 equating the product with the cap-free fermionic sum.  The fermionic sum
-never lists its index set; the per-monomial walk does, through
-`qpchar.qp_enum.enumerate_dual_charge_types`, which is not exported here.
+never lists its index set.  The per-monomial walk `iter_basis_monomials`
+lists the charge lists instead: each color-1 list from the dual-count
+floor and, beside it, every color-2 list whose least energy fits.
 """
 
 from .fermionic import ModuleSpec, character_fermionic

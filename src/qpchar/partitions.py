@@ -42,7 +42,9 @@ def validate_partition(p: Partition) -> None:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: entry t counts parts of size >= t."""
+    """Transpose of the Young diagram: entry t counts parts of size >= t.
+    Raises ValueError unless p is a partition (`validate_partition`)."""
+    validate_partition(p)
     if not p:
         return ()
     out = [0] * p[0]

@@ -36,10 +36,12 @@ T_l (`_run_slack`), which counts partitions into at most l parts.
 each color-1 charge list n1 once, builds its color-1 energy histogram from
 the slack tables of its runs, and counts every color-2 charge list at once
 with a DP over charge values (`_color2_counts`).  `iter_basis_monomials`
-builds the monomials themselves, one charge type (n1, n2) at a time, by
-walking each color's mode vectors (`_charge_types`, `_mode_vectors`) over
-the index set of the fermionic sum, `enumerate_dual_charge_types`; the
-tests check the two against each other.  Both take their color-1 dual
+builds the monomials themselves, one charge type (n1, n2) at a time
+(`_charge_types`).  It walks the charge lists directly: beside each n1,
+`_color2_charge_lists` grows every color-2 list n2 whose least energy fits
+the budget, pruned by a floor of what the particles still to come can
+cost, and then each color's mode vectors are walked (`_mode_vectors`).
+The tests check the two against each other.  Both take their color-1 dual
 counts r1 from the one generator `_color1_dual_counts`, so that walk is
 checked against an exhaustive box and the fermionic sum, not between them.
 """
@@ -49,14 +51,7 @@ from itertools import groupby
 from typing import Callable, Iterator
 
 from .fermionic import ModuleSpec, validate_spec
-from .partitions import (
-    DualChargeType,
-    Partition,
-    conjugate,
-    diag_energy_from_charges,
-    mixed_energy_from_charges,
-    validate_partition,
-)
+from .partitions import Partition, conjugate, diag_energy_from_charges, validate_partition
 from .series import TruncatedSeries, validate_trunc
 
 ChargedModes = tuple[tuple[int, int], ...]
@@ -98,12 +93,16 @@ def _color1_bounds(n1: Partition) -> list[int]:
     return out
 
 
+def _color2_cost(n1: Partition, p: int, c: int) -> int:
+    """f_p(c) = c(1 + 2p) - sum over a in n1 of min(3a, c): the least energy
+    of a color-2 particle of charge c at 0-based position p of a weakly
+    decreasing color-2 charge list beside the color-1 charges n1."""
+    return c * (1 + 2 * p) - sum(min(3 * a, c) for a in n1)
+
+
 def _color2_bounds(n1: Partition, n2: Partition) -> list[int]:
-    out = []
-    for p, np in enumerate(n2):
-        cross = sum(min(3 * c, np) for c in n1)
-        out.append(-np + cross - 2 * sum(min(np, n2[q]) for q in range(p)))
-    return out
+    # n2 weakly decreases, so the p earlier charges each add min(n_p, n_q) = n_p
+    return [-_color2_cost(n1, p, c) for p, c in enumerate(n2)]
 
 
 def is_valid(b: QPMonomial, spec: ModuleSpec) -> bool:
@@ -209,72 +208,47 @@ def _color1_dual_counts(spec: ModuleSpec, qmax: int) -> Iterator[Partition]:
     return grow(0)
 
 
-def enumerate_dual_charge_types(spec: ModuleSpec, qmax: int) -> list[DualChargeType]:
-    """All pairs (r1, r2) under the spec's caps whose q-exponent in the
-    fermionic sum, sum r1^2 + sum r2^2 - sum_s r1^(s) * (r2^(3s-2) +
-    r2^(3s-1) + r2^(3s)), is <= qmax: the sum's index set.
+def _color2_charge_lists(n1: Partition, budget: int, cap: int | None) -> Iterator[tuple[Partition, int]]:
+    """Every color-2 charge list n2, charges <= cap (None: uncapped), whose
+    least energy beside the color-1 charges n1, e2_min = sum over p of
+    f_p(n2_p), is <= budget; yielded as (n2, e2_min).
 
-    r1 runs over `_color1_dual_counts`, whose floor is exactly the least
-    exponent of any pair with that r1.  Each r2 is then found by recursive
-    descent over weakly decreasing entries: an r2 prefix is extended with
-    entry x at flattened position j only if the accumulated exponent plus
-    sum over remaining positions of min_{0 <= x' <= x} (x'^2 - a x') still
-    fits.  Those per-position minima are <= 0, so the bound is valid, and
-    positions past the last r1 block contribute x'^2 >= 0, so the recursion
-    terminates.
-
-    Every emitted pair is checked against the budget before inclusion, hence
-    the returned set is exactly the stated one, without duplicates.
+    n2 grows weakly decreasing, each prefix before its extensions.  f_p(c)
+    can be negative, so a prefix over budget may still have extensions
+    within it; `floor[p]` bounds what positions >= p can still subtract.
+    Only the first len(n1) // 2 positions can cost < 0 (`_color2_counts`
+    shows why), and past c* = 3 max(n1) f_p grows with c, so floor[p] is
+    the sum over positions p <= p' < len(n1) // 2 of min(0, least f_p'(c)
+    over c <= c*).  A prefix takes charge c next only if its cost plus
+    f_p(c) plus floor[p + 1] fits the budget; past c* a charge that does
+    not fit ends the position's charges.
     """
-    validate_spec(spec)
-    validate_trunc(qmax)
-    cap2 = spec.color2_cap
-    out: list[DualChargeType] = []
+    npos = len(n1) // 2
+    cstar = 3 * n1[0] if n1 else 0
+    floor = [0] * (npos + 1)
+    for p in range(npos - 1, -1, -1):
+        least = min(_color2_cost(n1, p, c) for c in range(1, cstar + 1))
+        floor[p] = floor[p + 1] + min(0, least)
+    n2: list[int] = []
 
-    def descend_r2(a: Partition) -> None:
-        nblocks = len(a)
-        total_a2 = sum(x * x for x in a)
-        a_head = a[0] if a else 1
+    def grow(acc: int) -> Iterator[tuple[Partition, int]]:
+        if acc <= budget:
+            yield tuple(n2), acc
+        p = len(n2)
+        after = floor[min(p + 1, npos)]
+        top = n2[-1] if n2 else cap
+        c = 1
+        while top is None or c <= top:
+            cost = acc + _color2_cost(n1, p, c)
+            if cost + after <= budget:
+                n2.append(c)
+                yield from grow(cost)
+                n2.pop()
+            elif c >= cstar:
+                break
+            c += 1
 
-        def block_charge(j: int) -> int:
-            s = (j + 2) // 3  # 1-based position j sits in block ceil(j/3)
-            return a[s - 1] if s <= nblocks else 0
-
-        def suffix_floor(j: int, cap: int) -> int:
-            # minimal possible sum of x^2 - a*x over positions j..3*nblocks,
-            # each entry capped at `cap`; entries past 3*nblocks add >= 0
-            tot = 0
-            for jj in range(j, 3 * nblocks + 1):
-                aa = block_charge(jj)
-                t = min(cap, aa // 2)
-                tot += t * t - aa * t
-            return tot
-
-        xs: list[int] = []
-
-        def rec(j: int, cap: int | None, acc: int) -> None:
-            if total_a2 + acc <= qmax:
-                out.append(DualChargeType(a, tuple(xs)))
-            if cap2 is not None and j > cap2:
-                return
-            aa = block_charge(j)
-            x = 1
-            while cap is None or x <= cap:
-                acc2 = acc + x * x - aa * x
-                if total_a2 + acc2 + suffix_floor(j + 1, x) <= qmax:
-                    xs.append(x)
-                    rec(j + 1, x, acc2)
-                    xs.pop()
-                elif cap is None and x >= a_head:
-                    # past every parabola vertex: larger x only costs more
-                    break
-                x += 1
-
-        rec(1, None, 0)
-
-    for r1 in _color1_dual_counts(spec, qmax):
-        descend_r2(r1)
-    return out
+    return grow(0)
 
 
 def iter_basis_monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
@@ -295,23 +269,25 @@ def iter_basis_monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
 def _charge_types(spec: ModuleSpec, qmax: int) -> Iterator[tuple[Partition, Partition, ModeVectors, ModeVectors]]:
     """Per charge type (n1, n2) within budget, the two colors' mode vectors.
 
-    Charge types are the conjugates of the dual count pairs within budget
-    (a charge type admits a monomial of energy <= qmax iff the exponent of
-    its dual counts is <= qmax).  The difference conditions tie the colors
-    together only through the charges (`_color2_bounds` reads n1, never its
-    modes), so the charge type's monomials are exactly the pairs of a
-    color-1 and a color-2 vector with e1 + e2 <= qmax.  Color-2 energies
-    can be negative, so each color's own budget is qmax minus the other
-    color's minimal energy.
+    A charge type admits a monomial of energy <= qmax iff its least energy,
+    e1_min + e2_min with every mode at its bound, is <= qmax.  The color-1
+    lists n1 are the conjugates of `_color1_dual_counts`, and beside each
+    `_color2_charge_lists` walks every color-2 list n2 with e2_min <=
+    qmax - e1_min, yielding that e2_min.  The difference conditions tie the
+    colors together only through the charges (`_color2_bounds` reads n1,
+    never its modes), so the charge type's monomials are exactly the pairs
+    of a color-1 and a color-2 vector with e1 + e2 <= qmax.  Color-2
+    energies can be negative, so each color's own budget is qmax minus the
+    other color's minimal energy.
     """
-    for d in enumerate_dual_charge_types(spec, qmax):
-        n1 = conjugate(d.r1)
-        n2 = conjugate(d.r2)
+    for r1 in _color1_dual_counts(spec, qmax):
+        n1 = conjugate(r1)
         e1_min = diag_energy_from_charges(n1)
-        e2_min = diag_energy_from_charges(n2) - mixed_energy_from_charges(n1, n2)
-        vecs1 = _mode_vectors(n1, _color1_bounds(n1), qmax - e2_min)
-        vecs2 = _mode_vectors(n2, _color2_bounds(n1, n2), qmax - e1_min)
-        yield n1, n2, vecs1, vecs2
+        bounds1 = _color1_bounds(n1)
+        for n2, e2_min in _color2_charge_lists(n1, qmax - e1_min, spec.color2_cap):
+            vecs1 = _mode_vectors(n1, bounds1, qmax - e2_min)
+            vecs2 = _mode_vectors(n2, _color2_bounds(n1, n2), qmax - e1_min)
+            yield n1, n2, vecs1, vecs2
 
 
 def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
@@ -473,12 +449,13 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
 
     The conditions couple the colors only through the color-1 charges n1,
     so the count runs once per n1, the conjugate of each r1 from
-    `_color1_dual_counts`, never per charge type (n1, n2).  The color-1 histogram of n1 is the product of
-    its runs' slack tables T_l, shifted up to its greedy energy, the sum
-    over p of n_p(1 + 2p); `_color2_counts` counts the color-2 vectors of
-    every color-2 charge list at once.  Each color is budgeted against the
-    other's least energy, and the count at total energy e is the product
-    of the two histograms summed over e1 + e2 = e.
+    `_color1_dual_counts`, never per charge type (n1, n2).  The color-1
+    histogram of n1 is the product of its runs' slack tables T_l, shifted
+    up to its greedy energy, the sum over p of n_p(1 + 2p);
+    `_color2_counts` counts the color-2 vectors of every color-2 charge
+    list at once.  Each color is budgeted against the other's least
+    energy, and the count at total energy e is the product of the two
+    histograms summed over e1 + e2 = e.
     """
     validate_spec(spec)
     validate_trunc(qmax)

@@ -55,6 +55,23 @@ def validate_trunc(trunc) -> None:
         raise ValueError(f"truncation order must be >= 0, got {trunc}")
 
 
+def _checked_keys(keys, trunc: int):
+    """Yield each key as a SeriesKey.  Raise TypeError unless it is a triple
+    of ints (bools refused), ValueError for a negative exponent, and
+    OutOfTruncation for a q-degree beyond `trunc`."""
+    for key in keys:
+        q, u, v = key
+        if type(q) is not int or type(u) is not int or type(v) is not int:
+            raise TypeError(f"exponents in key {key!r} must be ints")
+        if q < 0 or u < 0 or v < 0:
+            raise ValueError(f"negative exponent in key {key!r}")
+        if q > trunc:
+            raise OutOfTruncation(f"key {key!r} has q_deg beyond truncation {trunc}")
+        # tuple.__new__ skips the named tuple's Python-level __new__, so the
+        # constructor pays no more per term than the generator's resume
+        yield tuple.__new__(SeriesKey, (q, u, v))
+
+
 class TruncatedSeries:
     """Sparse integer series truncated at q^trunc.
 
@@ -69,20 +86,11 @@ class TruncatedSeries:
         validate_trunc(trunc)
         clean: dict[SeriesKey, int] = {}
         if terms:
-            for key, c in terms.items():
-                q, u, v = key
-                if type(q) is not int or type(u) is not int or type(v) is not int:
-                    raise TypeError(f"exponents in key {key!r} must be ints")
-                if q < 0 or u < 0 or v < 0:
-                    raise ValueError(f"negative exponent in key {key!r}")
-                if q > trunc:
-                    raise OutOfTruncation(
-                        f"key {key!r} has q_deg beyond truncation {trunc}"
-                    )
+            for key, c in zip(_checked_keys(terms, trunc), terms.values()):
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"coefficient {c!r} is not an exact integer")
                 if c:
-                    clean[SeriesKey(q, u, v)] = c
+                    clean[key] = c
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "terms", clean)
 
@@ -90,12 +98,12 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     def coeff(self, key: KeyLike) -> int:
-        """Coefficient at `key`, 0 if absent.  Raises OutOfTruncation when the
-        q-degree exceeds the truncation order (the value is unknown there)."""
-        q = key[0]
-        if q > self.trunc:
-            raise OutOfTruncation(f"q^{q} is beyond truncation {self.trunc}")
-        return self.terms.get(SeriesKey(*key), 0)
+        """Coefficient at `key`, 0 if absent.  The key is checked as the
+        constructor checks keys: OutOfTruncation when the q-degree exceeds
+        the truncation order (the value is unknown there), TypeError or
+        ValueError when it is not a triple of ints >= 0."""
+        (key,) = _checked_keys((key,), self.trunc)
+        return self.terms.get(key, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -4,9 +4,11 @@ Everything here is deliberately naive: plain dict convolution, box searches
 over provably sufficient finite ranges, one-variable DP recurrences.  None
 of it reuses the library's enumeration or series machinery beyond the
 validator `is_valid` (the mode-search oracle is by definition an exhaustive
-scan within that validator's bounds) and the index-set enumerator
-`qp_enum.enumerate_dual_charge_types` behind `pair_sum_character`, the
-pair-by-pair form of the fermionic sum that the block recursion replaced.
+scan within that validator's bounds) and the charge-list walk of
+`qp_enum` (`_color1_dual_counts`, `_color2_charge_lists`), which
+`dual_charge_types` turns into the index set behind `pair_sum_character`,
+the pair-by-pair form of the fermionic sum that the block recursion
+replaced.
 `total_exponent`, the q-exponent of one term of that sum, lives here: only
 the oracles and the tests evaluate the sum term by term.
 `brute_pbw_multisets` is the leaf-by-leaf PBW multiset recursion that the
@@ -20,8 +22,20 @@ generator as `enumerate_basis`'s.
 import itertools
 from math import isqrt
 
-from qpchar.partitions import DualChargeType, diag_energy_from_dual, mixed_energy_from_dual
-from qpchar.qp_enum import QPMonomial, _charge_types, enumerate_dual_charge_types, is_valid
+from qpchar.partitions import (
+    DualChargeType,
+    conjugate,
+    diag_energy_from_charges,
+    diag_energy_from_dual,
+    mixed_energy_from_dual,
+)
+from qpchar.qp_enum import (
+    QPMonomial,
+    _charge_types,
+    _color1_dual_counts,
+    _color2_charge_lists,
+    is_valid,
+)
 from qpchar.series import TruncatedSeries
 
 
@@ -132,6 +146,26 @@ def brute_dual_charge_types(level: int | None, qmax: int) -> set[DualChargeType]
     return out
 
 
+def dual_charge_types(spec, qmax: int) -> list[DualChargeType]:
+    """The fermionic sum's index set: every pair (r1, r2) under the spec's
+    caps with exponent <= qmax, read off the charge lists `qp_enum` walks.
+
+    The index pairs are the conjugates of the charge types (n1, n2) whose
+    least energy e1_min + e2_min is <= qmax, and the exponent of a pair is
+    that least energy, so each charge type (n1, n2) of the walk, n1 the
+    conjugate of an r1 from `_color1_dual_counts` and n2 from
+    `_color2_charge_lists`, becomes DualChargeType(r1, conjugate(n2)), in
+    walk order.
+    """
+    out = []
+    for r1 in _color1_dual_counts(spec, qmax):
+        n1 = conjugate(r1)
+        budget = qmax - diag_energy_from_charges(n1)
+        for n2, _e2_min in _color2_charge_lists(n1, budget, spec.color2_cap):
+            out.append(DualChargeType(r1, conjugate(n2)))
+    return out
+
+
 def _difference_multiset(r) -> tuple[int, ...]:
     # nonzero consecutive differences, last entry taken against 0;
     # zero differences contribute (q)_0 = 1 and are dropped
@@ -144,7 +178,7 @@ def _difference_multiset(r) -> tuple[int, ...]:
 
 def pair_sum_character(spec, qmax: int) -> TruncatedSeries:
     """The fermionic sum evaluated pair by pair over the explicit index set
-    from `enumerate_dual_charge_types`.
+    from `dual_charge_types`.
 
     The Pochhammer denominators of one index pair depend only on the multiset
     of consecutive differences of its count sequences, so their expansions
@@ -166,7 +200,7 @@ def pair_sum_character(spec, qmax: int) -> TruncatedSeries:
             cache[diffs] = coeffs
         return coeffs
 
-    for d in enumerate_dual_charge_types(spec, qmax):
+    for d in dual_charge_types(spec, qmax):
         e = total_exponent(d)
         y1, y2 = sum(d.r1), sum(d.r2)
         diffs = tuple(sorted(_difference_multiset(d.r1) + _difference_multiset(d.r2)))

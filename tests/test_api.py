@@ -3,6 +3,7 @@ import pytest
 import qpchar
 import qpchar.fermionic
 import qpchar.partitions
+import qpchar.qp_enum
 
 PUBLIC = {
     "ModuleSpec",
@@ -41,7 +42,7 @@ def test_public_api_is_pinned():
         assert hasattr(qpchar, name), name
 
 
-@pytest.mark.parametrize("module", [qpchar, qpchar.fermionic, qpchar.partitions])
+@pytest.mark.parametrize("module", [qpchar, qpchar.fermionic, qpchar.partitions, qpchar.qp_enum])
 @pytest.mark.parametrize("name", ["enumerate_dual_charge_types", "total_exponent"])
 def test_internal_names_not_exported(module, name):
     assert not hasattr(module, name)

@@ -30,6 +30,12 @@ def test_validate_partition_rejects(bad):
         validate_partition(bad)
 
 
+@pytest.mark.parametrize("p", [(3, 0), (-1,), (True,), (1, 2)])
+def test_conjugate_rejects_non_partitions(p):
+    with pytest.raises(ValueError):
+        conjugate(p)
+
+
 def test_conjugate_examples():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate(()) == ()

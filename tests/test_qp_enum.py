@@ -6,9 +6,15 @@ import pytest
 from oracles import brute_basis_series, per_type_basis_count, total_exponent
 from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
-from qpchar.partitions import DualChargeType, conjugate
+from qpchar.partitions import (
+    DualChargeType,
+    conjugate,
+    diag_energy_from_charges,
+    mixed_energy_from_charges,
+)
 from qpchar.qp_enum import (
     QPMonomial,
+    _color2_charge_lists,
     _run_slack,
     enumerate_basis,
     is_valid,
@@ -160,6 +166,22 @@ def test_level1_budget_one_monomials():
 def test_spot_value_q2_y2sq():
     # x(-2) of charge 2 is the only one; two charge-1 factors fail the gap
     assert enumerate_basis(S1, 2).coeff((2, 0, 2)) == 1
+
+
+# --- the color-2 charge-list walk ---------------------------------------------
+
+@pytest.mark.parametrize("n1", [(), (1,), (2,), (1, 1), (2, 1, 1), (3, 2), (1, 1, 1, 1), (2, 2, 1, 1, 1)])
+@pytest.mark.parametrize("budget,cap", [(-4, None), (0, None), (3, 3), (6, None), (6, 6)])
+def test_color2_charge_lists_yield_least_energy(n1, budget, cap):
+    # each yielded e2_min is the least color-2 energy of its charge type,
+    # within the budget, and each list appears once, under the cap
+    seen = set()
+    for n2, e2_min in _color2_charge_lists(n1, budget, cap):
+        assert e2_min == diag_energy_from_charges(n2) - mixed_energy_from_charges(n1, n2)
+        assert e2_min <= budget
+        assert cap is None or all(c <= cap for c in n2)
+        assert n2 not in seen
+        seen.add(n2)
 
 
 # --- run slack tables --------------------------------------------------------

@@ -225,6 +225,26 @@ def test_coeff_beyond_truncation_raises():
         _one(2).coeff((3, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "key,error",
+    [
+        ((-1, 0, 0), ValueError),
+        ((1, -1, 0), ValueError),
+        ((1.0, 1, 0), TypeError),
+        ((True, 1, 0), TypeError),
+        ((1, 1, False), TypeError),
+        ((1, 1), ValueError),
+    ],
+)
+def test_coeff_checks_key_as_constructor_does(key, error):
+    # the stored term at (1, 1, 0) must not answer for a float or bool key
+    s = TruncatedSeries(2, {(1, 1, 0): 7})
+    with pytest.raises(error):
+        s.coeff(key)
+    with pytest.raises(error):
+        TruncatedSeries(2, {key: 1})
+
+
 # --- serialization order ----------------------------------------------------
 
 def test_sorted_terms_is_lexicographic():
