@@ -17,6 +17,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--qmax", type=int, default=12)
     args = ap.parse_args()
+    if args.qmax < 0:
+        ap.error(f"--qmax must be >= 0, got {args.qmax}")
 
     verma = ModuleSpec.verma()
     print(f"{'q':>4} {'terms':>7} {'product s':>10} {'sum s':>8}  identity")

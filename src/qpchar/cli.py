@@ -5,6 +5,13 @@ rows sorted lexicographically by q, y1, y2 exponents, coefficients printed
 as decimal strings so no reader is forced through a float); ``verify`` runs
 one of the cross-method checks and exits 0 on agreement, 1 on the first
 mismatch, 2 on usage errors.
+
+A command line the parser accepts but the command cannot run (a flag the
+command does not take, a --qmax outside [0, ceiling], a --trials / --seed
+that `verify_conjugation` refuses) raises `_UsageError`; `main` catches it
+in one place, prints ``qpchar: error: <msg>`` and returns 2, as argparse
+does for its own errors.  The ceiling, `QPCHAR_QMAX_CEILING`, is read only
+when a --qmax is checked.
 """
 
 import argparse
@@ -13,7 +20,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .fermionic import ModuleSpec, character_fermionic
 from .partitions import (
@@ -35,17 +41,8 @@ CHAR_METHODS = ("fermionic", "enumerate", "pbw-product", "pbw-enumerate")
 VERIFY_CHECKS = ("identity", "basis", "pbw", "conjugation", "stabilize")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    space: str | None = None
-    level: int | None = None
-    qmax: int | None = None
-    method: str = "fermionic"
-    check: str | None = None
-    format: str = "csv"
-    trials: int = 1000
-    seed: int = 0
+class _UsageError(Exception):
+    """A command line that qpchar refuses; `main` prints it and exits 2."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,11 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail_usage(msg: str) -> int:
-    print(f"qpchar: error: {msg}", file=sys.stderr)
-    return 2
-
-
 def _qmax_ceiling() -> int:
     raw = os.environ.get(QMAX_CEILING_ENV)
     if raw is None:
@@ -85,10 +77,45 @@ def _qmax_ceiling() -> int:
     try:
         ceiling = int(raw)
     except ValueError:
-        raise SystemExit(_fail_usage(f"{QMAX_CEILING_ENV} must be an integer, got {raw!r}"))
+        raise _UsageError(f"{QMAX_CEILING_ENV} must be an integer, got {raw!r}") from None
     if ceiling < 0:
-        raise SystemExit(_fail_usage(f"{QMAX_CEILING_ENV} must be >= 0, got {raw!r}"))
+        raise _UsageError(f"{QMAX_CEILING_ENV} must be >= 0, got {raw!r}")
     return ceiling
+
+
+def _check(ns: argparse.Namespace) -> None:
+    """Raise _UsageError for a command line the parser accepts but cannot run."""
+    if ns.command == "verify" and ns.check == "conjugation":
+        for flag, value in (("--space", ns.space), ("--level", ns.level),
+                            ("--qmax", ns.qmax)):
+            if value is not None:
+                raise _UsageError(f"{flag} is not valid with --check conjugation")
+        return
+    if ns.command == "verify" and (ns.trials is not None or ns.seed is not None):
+        raise _UsageError("--trials/--seed are only valid with --check conjugation")
+    ceiling = _qmax_ceiling()
+    if ns.qmax is None:
+        raise _UsageError("--qmax is required")
+    if ns.qmax < 0:
+        raise _UsageError("--qmax must be >= 0")
+    if ns.qmax > ceiling:
+        raise _UsageError(f"--qmax {ns.qmax} exceeds the ceiling {ceiling}"
+                          f" (raise {QMAX_CEILING_ENV} to allow more)")
+    if ns.command == "verify" and ns.check != "basis":
+        if ns.space is not None or ns.level is not None:
+            raise _UsageError(f"--space/--level are not valid with --check {ns.check}")
+        return
+    if ns.space is None:
+        raise _UsageError("--space is required")
+    if ns.space == "L":
+        if ns.level is None:
+            raise _UsageError("--space L requires --level")
+        if ns.level < 1:
+            raise _UsageError("--level must be >= 1")
+    elif ns.level is not None:
+        raise _UsageError("--level is only valid with --space L")
+    if ns.command == "char" and ns.method.startswith("pbw") and ns.space != "N":
+        raise _UsageError(f"--method {ns.method} is only valid with --space N")
 
 
 def _spec_for(space: str, level: int | None) -> ModuleSpec:
@@ -137,7 +164,8 @@ def verify_conjugation(trials: int, seed: int) -> tuple[int, list[str]]:
     same-color energies agree across conjugation, and the cross-color
     energies agree on an independent pair.  Returns (exit_code, report).
     `trials` must be an int (not a bool) >= 1, and `seed` an int (not a
-    bool) in [0, 2**64), the range the command line accepts.
+    bool) in [0, 2**64); both are checked before the first trial, and the
+    command line takes its --trials / --seed rule from here.
     """
     if not isinstance(trials, int) or isinstance(trials, bool):
         raise TypeError(f"trials must be an int, got {trials!r}")
@@ -163,137 +191,74 @@ def verify_conjugation(trials: int, seed: int) -> tuple[int, list[str]]:
     return 0, [f"{trials}/{trials} ok"]
 
 
-def _run_char(cfg: RunConfig) -> int:
-    spec = _spec_for(cfg.space, cfg.level)
-    if cfg.method == "fermionic":
-        series = character_fermionic(spec, cfg.qmax)
-    elif cfg.method == "enumerate":
-        series = enumerate_basis(spec, cfg.qmax)
-    elif cfg.method == "pbw-product":
-        series = product_side(cfg.qmax)
+def _run_char(ns: argparse.Namespace) -> int:
+    spec = _spec_for(ns.space, ns.level)
+    if ns.method == "fermionic":
+        series = character_fermionic(spec, ns.qmax)
+    elif ns.method == "enumerate":
+        series = enumerate_basis(spec, ns.qmax)
+    elif ns.method == "pbw-product":
+        series = product_side(ns.qmax)
     else:
-        series = pbw_enumerated(cfg.qmax)
-    if cfg.format == "csv":
+        series = pbw_enumerated(ns.qmax)
+    if ns.format == "csv":
         _write_csv(series)
     else:
         _write_json(series)
     return 0
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    if cfg.check == "identity":
+def _run_verify(ns: argparse.Namespace) -> int:
+    if ns.check == "identity":
         return _report_compare(
-            "product", product_side(cfg.qmax),
-            "fermionic", character_fermionic(ModuleSpec.verma(), cfg.qmax),
+            "product", product_side(ns.qmax),
+            "fermionic", character_fermionic(ModuleSpec.verma(), ns.qmax),
             "identity",
         )
-    if cfg.check == "basis":
-        spec = _spec_for(cfg.space, cfg.level)
+    if ns.check == "basis":
+        spec = _spec_for(ns.space, ns.level)
         return _report_compare(
-            "enumerate", enumerate_basis(spec, cfg.qmax),
-            "fermionic", character_fermionic(spec, cfg.qmax),
+            "enumerate", enumerate_basis(spec, ns.qmax),
+            "fermionic", character_fermionic(spec, ns.qmax),
             f"basis[{spec.describe()}]",
         )
-    if cfg.check == "pbw":
+    if ns.check == "pbw":
         return _report_compare(
-            "pbw-enumerate", pbw_enumerated(cfg.qmax),
-            "pbw-product", product_side(cfg.qmax),
+            "pbw-enumerate", pbw_enumerated(ns.qmax),
+            "pbw-product", product_side(ns.qmax),
             "pbw",
         )
-    if cfg.check == "stabilize":
+    if ns.check == "stabilize":
         # at qmax the caps of level max(qmax, 1) no longer bind
-        level = max(cfg.qmax, 1)
+        level = max(ns.qmax, 1)
         return _report_compare(
-            f"level-{level}", character_fermionic(ModuleSpec.standard(level), cfg.qmax),
-            "verma", character_fermionic(ModuleSpec.verma(), cfg.qmax),
+            f"level-{level}", character_fermionic(ModuleSpec.standard(level), ns.qmax),
+            "verma", character_fermionic(ModuleSpec.verma(), ns.qmax),
             "stabilize",
         )
-    code, report = verify_conjugation(cfg.trials, cfg.seed)
+    try:
+        code, report = verify_conjugation(1000 if ns.trials is None else ns.trials,
+                                          0 if ns.seed is None else ns.seed)
+    except ValueError as exc:
+        # its range check of trials and seed, made before the first trial;
+        # the message starts with the argument's name
+        raise _UsageError(f"--{exc}") from None
     for line in report:
         print(line)
     return code
 
 
-def _validate(ns: argparse.Namespace) -> RunConfig | int:
-    ceiling = _qmax_ceiling()
-
-    def check_qmax(qmax):
-        if qmax is None:
-            return "--qmax is required"
-        if qmax < 0:
-            return "--qmax must be >= 0"
-        if qmax > ceiling:
-            return (f"--qmax {qmax} exceeds the ceiling {ceiling}"
-                    f" (raise {QMAX_CEILING_ENV} to allow more)")
-        return None
-
-    def check_space_level(space, level):
-        if space is None:
-            return "--space is required"
-        if space == "L":
-            if level is None:
-                return "--space L requires --level"
-            if level < 1:
-                return "--level must be >= 1"
-        elif level is not None:
-            return "--level is only valid with --space L"
-        return None
-
-    if ns.command == "char":
-        msg = check_qmax(ns.qmax) or check_space_level(ns.space, ns.level)
-        if msg is None and ns.method.startswith("pbw") and ns.space != "N":
-            msg = f"--method {ns.method} is only valid with --space N"
-        if msg:
-            return _fail_usage(msg)
-        return RunConfig(command="char", space=ns.space, level=ns.level,
-                         qmax=ns.qmax, method=ns.method, format=ns.format)
-
-    # verify
-    if ns.check == "conjugation":
-        for flag, value in (("--space", ns.space), ("--level", ns.level),
-                            ("--qmax", ns.qmax)):
-            if value is not None:
-                return _fail_usage(f"{flag} is not valid with --check conjugation")
-        trials = 1000 if ns.trials is None else ns.trials
-        if trials < 1:
-            return _fail_usage("--trials must be >= 1")
-        seed = 0 if ns.seed is None else ns.seed
-        if not 0 <= seed < 2 ** 64:
-            return _fail_usage("--seed must fit in an unsigned 64-bit integer")
-        return RunConfig(command="verify", check="conjugation",
-                         trials=trials, seed=seed)
-
-    if ns.trials is not None or ns.seed is not None:
-        return _fail_usage("--trials/--seed are only valid with --check conjugation")
-    msg = check_qmax(ns.qmax)
-    if msg:
-        return _fail_usage(msg)
-    if ns.check == "basis":
-        msg = check_space_level(ns.space, ns.level)
-        if msg:
-            return _fail_usage(msg)
-        return RunConfig(command="verify", check="basis", space=ns.space,
-                         level=ns.level, qmax=ns.qmax)
-    if ns.space is not None or ns.level is not None:
-        return _fail_usage(f"--space/--level are not valid with --check {ns.check}")
-    return RunConfig(command="verify", check=ns.check, qmax=ns.qmax)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        ns = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed --help or its own error
         return int(exc.code or 0)
     try:
-        cfg = _validate(ns)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if isinstance(cfg, int):
-        return cfg
-    if cfg.command == "char":
-        return _run_char(cfg)
-    return _run_verify(cfg)
+        _check(ns)
+        return _run_char(ns) if ns.command == "char" else _run_verify(ns)
+    except _UsageError as exc:
+        print(f"qpchar: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

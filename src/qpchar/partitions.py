@@ -2,6 +2,8 @@
 
 A partition is a plain tuple of weakly decreasing positive integers (the
 empty tuple is allowed).  Entries beyond the stored length read as zero.
+Each public function here raises ValueError for an input that is not one
+(`validate_partition`).
 
 A quasi-particle monomial is described in two conjugate ways:
 
@@ -71,6 +73,7 @@ def diag_energy_from_charges(n: Partition) -> int:
 
         sum_p ( n_p + 2 * sum_{p' < p} min(n_p, n_p') ).
     """
+    validate_partition(n)
     total = 0
     for p, np in enumerate(n):
         total += np
@@ -81,6 +84,7 @@ def diag_energy_from_charges(n: Partition) -> int:
 
 def diag_energy_from_dual(r: Partition) -> int:
     """Same quantity from the dual counts: the sum of squared entries."""
+    validate_partition(r)
     return sum(x * x for x in r)
 
 
@@ -89,6 +93,8 @@ def mixed_energy_from_charges(n1: Partition, n2: Partition) -> int:
 
         sum over color-2 charges c2 and color-1 charges c1 of min(c2, 3*c1).
     """
+    validate_partition(n1)
+    validate_partition(n2)
     return sum(min(c2, 3 * c1) for c2 in n2 for c1 in n1)
 
 
@@ -96,6 +102,8 @@ def mixed_energy_from_dual(d: DualChargeType) -> int:
     """Cross-color interaction from the dual counts, grouping color-2 counts
     in threes: sum_s r1^(s) * (r2^(3s-2) + r2^(3s-1) + r2^(3s))."""
     r1, r2 = d
+    validate_partition(r1)
+    validate_partition(r2)
     total = 0
     for s in range(1, len(r1) + 1):
         triple = _entry(r2, 3 * s) + _entry(r2, 3 * s - 1) + _entry(r2, 3 * s - 2)

@@ -106,7 +106,10 @@ def _color2_bounds(n1: Partition, n2: Partition) -> list[int]:
 
 
 def is_valid(b: QPMonomial, spec: ModuleSpec) -> bool:
-    """Check the charge caps and all four mode difference conditions."""
+    """Check the charge caps and all four mode difference conditions.
+    Raises TypeError unless b is a `QPMonomial` and spec a `ModuleSpec`."""
+    if not isinstance(b, QPMonomial):
+        raise TypeError(f"b must be a QPMonomial, got {b!r}")
     validate_spec(spec)
     n1 = tuple(n for n, _m in b.color1)
     n2 = tuple(n for n, _m in b.color2)
@@ -278,14 +281,19 @@ def _charge_types(spec: ModuleSpec, qmax: int) -> Iterator[tuple[Partition, Part
     never its modes), so the charge type's monomials are exactly the pairs
     of a color-1 and a color-2 vector with e1 + e2 <= qmax.  Color-2
     energies can be negative, so each color's own budget is qmax minus the
-    other color's minimal energy.
+    other color's minimal energy.  The color-1 vectors thus depend only on
+    n1 and e2_min, and are built once per e2_min beside each n1; charge
+    types that share them yield the same list, which callers only read.
     """
     for r1 in _color1_dual_counts(spec, qmax):
         n1 = conjugate(r1)
         e1_min = diag_energy_from_charges(n1)
         bounds1 = _color1_bounds(n1)
+        by_budget: dict[int, ModeVectors] = {}
         for n2, e2_min in _color2_charge_lists(n1, qmax - e1_min, spec.color2_cap):
-            vecs1 = _mode_vectors(n1, bounds1, qmax - e2_min)
+            vecs1 = by_budget.get(e2_min)
+            if vecs1 is None:
+                vecs1 = by_budget[e2_min] = _mode_vectors(n1, bounds1, qmax - e2_min)
             vecs2 = _mode_vectors(n2, _color2_bounds(n1, n2), qmax - e1_min)
             yield n1, n2, vecs1, vecs2
 

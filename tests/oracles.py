@@ -26,8 +26,6 @@ from qpchar.partitions import (
     DualChargeType,
     conjugate,
     diag_energy_from_charges,
-    diag_energy_from_dual,
-    mixed_energy_from_dual,
 )
 from qpchar.qp_enum import (
     QPMonomial,
@@ -47,12 +45,15 @@ def total_exponent(d: DualChargeType) -> int:
     Always >= 0, and zero only for the empty d: writing a = r1^(s) and
     x, y, z for its color-2 block, each block equals
     a^2/4 + (x-a/2)^2 + (y-a/2)^2 + (z-a/2)^2.
+
+    Restated here rather than summed from `diag_energy_from_dual` and
+    `mixed_energy_from_dual`: those validate their arguments, which the
+    box search of `brute_dual_charge_types` would pay millions of times,
+    and the tests compare the library's energies with this formula.
     """
-    return (
-        diag_energy_from_dual(d.r1)
-        + diag_energy_from_dual(d.r2)
-        - mixed_energy_from_dual(d)
-    )
+    r1, r2 = d
+    mixed = sum(a * sum(r2[3 * s:3 * s + 3]) for s, a in enumerate(r1))
+    return sum(a * a for a in r1) + sum(x * x for x in r2) - mixed
 
 
 def brute_mul(a_terms: dict, b_terms: dict, trunc: int) -> dict:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qpchar import cli
 from qpchar.cli import QMAX_CEILING_ENV, _report_compare, main, verify_conjugation
 from qpchar.series import TruncatedSeries
 
@@ -116,6 +117,42 @@ def test_ceiling_env_must_not_be_negative(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--check", "pbw", "--qmax", "0")
     assert code == 2 and out == ""
     assert QMAX_CEILING_ENV in err and "exceeds" not in err
+
+
+def test_ceiling_env_read_only_with_qmax(capsys, monkeypatch):
+    monkeypatch.setenv(QMAX_CEILING_ENV, "plenty")
+    code, out, err = run(capsys, "verify", "--check", "conjugation", "--trials", "5")
+    assert (code, out, err) == (0, "5/5 ok\n", "")
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("character_fermionic", ("char", "--space", "N", "--qmax", "1")),
+        ("enumerate_basis", ("char", "--space", "N", "--qmax", "1", "--method", "enumerate")),
+        ("product_side", ("char", "--space", "N", "--qmax", "1", "--method", "pbw-product")),
+        ("pbw_enumerated", ("char", "--space", "N", "--qmax", "1", "--method", "pbw-enumerate")),
+        ("character_fermionic", ("verify", "--check", "identity", "--qmax", "1")),
+        ("enumerate_basis", ("verify", "--check", "basis", "--space", "N", "--qmax", "1")),
+        ("product_side", ("verify", "--check", "pbw", "--qmax", "1")),
+        ("pbw_enumerated", ("verify", "--check", "pbw", "--qmax", "1")),
+    ],
+)
+def test_methods_looked_up_on_cli_module_at_call_time(capsys, monkeypatch, name, args):
+    # the benchmark's tracer times the four methods by patching these names
+    calls = []
+
+    def fake(*fake_args):
+        calls.append(fake_args)
+        return TruncatedSeries(1, {(1, 2, 3): 7})
+
+    monkeypatch.setattr(cli, name, fake)
+    code, out, _ = run(capsys, *args)
+    assert calls
+    if args[0] == "char":
+        assert (code, out) == (0, "q,y1,y2,coeff\n1,2,3,7\n")
+    else:
+        assert code == 1 and "MISMATCH" in out
 
 
 # --- verify -----------------------------------------------------------------

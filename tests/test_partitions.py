@@ -36,6 +36,25 @@ def test_conjugate_rejects_non_partitions(p):
         conjugate(p)
 
 
+@pytest.mark.parametrize("p", [(1, 2), (True,), (-1,), (3, 0), (1.0,)])
+@pytest.mark.parametrize(
+    "energy",
+    [
+        diag_energy_from_charges,
+        diag_energy_from_dual,
+        lambda p: mixed_energy_from_charges(p, (3,)),
+        lambda p: mixed_energy_from_charges((1,), p),
+        lambda p: mixed_energy_from_dual(DualChargeType(p, (1,))),
+        lambda p: mixed_energy_from_dual(DualChargeType((1,), p)),
+    ],
+    ids=["diag_charges", "diag_dual", "mixed_charges_n1", "mixed_charges_n2",
+         "mixed_dual_r1", "mixed_dual_r2"],
+)
+def test_energy_conversions_reject_non_partitions(energy, p):
+    with pytest.raises(ValueError):
+        energy(p)
+
+
 def test_conjugate_examples():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate(()) == ()
@@ -98,6 +117,7 @@ def test_total_exponent_examples():
 @given(dual_st)
 def test_total_exponent_positive_definite(d):
     e = total_exponent(d)
+    assert e == diag_energy_from_dual(d.r1) + diag_energy_from_dual(d.r2) - mixed_energy_from_dual(d)
     assert e >= 0
     assert (e == 0) == (d.r1 == () and d.r2 == ())
     # each block (a; x, y, z) is a^2/4 + sum of (x - a/2)^2, hence the floor

@@ -109,6 +109,12 @@ def test_is_valid_rejects_non_spec(spec):
         is_valid(QPMonomial(), spec)
 
 
+@pytest.mark.parametrize("b", ["x", None, ((1, -1),)])
+def test_is_valid_rejects_non_monomial(b):
+    with pytest.raises(TypeError):
+        is_valid(b, V)
+
+
 @pytest.mark.parametrize("qmax,error", [(2.5, TypeError), (2.0, TypeError), (True, TypeError), (-1, ValueError)])
 def test_iter_basis_monomials_rejects_bad_truncation(qmax, error):
     with pytest.raises(error):
@@ -182,6 +188,27 @@ def test_color2_charge_lists_yield_least_energy(n1, budget, cap):
         assert cap is None or all(c <= cap for c in n2)
         assert n2 not in seen
         seen.add(n2)
+
+
+def test_color1_mode_vectors_built_once_per_budget(monkeypatch):
+    # beside one n1 the color-1 vectors depend only on e2_min, which many
+    # color-2 lists share: one color-1 build per (n1, e2_min), one color-2
+    # build per charge type
+    real = qp_enum._mode_vectors
+    calls = []
+
+    def counted(charges, bounds, max_energy):
+        calls.append(charges)
+        return real(charges, bounds, max_energy)
+
+    monkeypatch.setattr(qp_enum, "_mode_vectors", counted)
+    types = list(qp_enum._charge_types(V, 6))
+    budgets = {
+        (n1, diag_energy_from_charges(n2) - mixed_energy_from_charges(n1, n2))
+        for n1, n2, _vecs1, _vecs2 in types
+    }
+    assert len(budgets) < len(types)
+    assert len(calls) == len(types) + len(budgets)
 
 
 # --- run slack tables --------------------------------------------------------

@@ -38,3 +38,10 @@ def test_dimension_table_rejects_bad_arguments(args):
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_identity_scan_rejects_negative_qmax():
+    proc = _run("identity_scan.py", "--qmax", "-1")
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert proc.stdout == ""
