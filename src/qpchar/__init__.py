@@ -19,7 +19,6 @@ floor and, beside it, every color-2 list whose least energy fits.
 
 from .fermionic import ModuleSpec, character_fermionic
 from .partitions import (
-    DualChargeType,
     Partition,
     conjugate,
     diag_energy_from_charges,
@@ -28,13 +27,12 @@ from .partitions import (
     mixed_energy_from_dual,
     validate_partition,
 )
-from .pbw_oracle import POSITIVE_ROOTS, PositiveRoot, pbw_enumerated, product_side
+from .pbw_oracle import POSITIVE_ROOTS, pbw_enumerated, product_side
 from .qp_enum import QPMonomial, enumerate_basis, is_valid, iter_basis_monomials
 from .series import (
     NonPositiveExponent,
     OutOfTruncation,
     SeriesError,
-    SeriesKey,
     TruncatedSeries,
     TruncationMismatch,
     divide_geometric,
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ModuleSpec",
     "character_fermionic",
-    "DualChargeType",
     "Partition",
     "conjugate",
     "diag_energy_from_charges",
@@ -54,7 +51,6 @@ __all__ = [
     "mixed_energy_from_dual",
     "validate_partition",
     "POSITIVE_ROOTS",
-    "PositiveRoot",
     "pbw_enumerated",
     "product_side",
     "QPMonomial",
@@ -65,7 +61,6 @@ __all__ = [
     "TruncationMismatch",
     "NonPositiveExponent",
     "OutOfTruncation",
-    "SeriesKey",
     "TruncatedSeries",
     "divide_geometric",
     "__version__",

@@ -11,7 +11,7 @@ command does not take, a --qmax outside [0, ceiling], a --trials / --seed
 that `verify_conjugation` refuses) raises `_UsageError`; `main` catches it
 in one place, prints ``qpchar: error: <msg>`` and returns 2, as argparse
 does for its own errors.  The ceiling, `QPCHAR_QMAX_CEILING`, is read only
-when a --qmax is checked.
+once a --qmax is present and >= 0.
 """
 
 import argparse
@@ -23,7 +23,6 @@ import sys
 
 from .fermionic import ModuleSpec, character_fermionic
 from .partitions import (
-    DualChargeType,
     conjugate,
     diag_energy_from_charges,
     diag_energy_from_dual,
@@ -93,11 +92,11 @@ def _check(ns: argparse.Namespace) -> None:
         return
     if ns.command == "verify" and (ns.trials is not None or ns.seed is not None):
         raise _UsageError("--trials/--seed are only valid with --check conjugation")
-    ceiling = _qmax_ceiling()
     if ns.qmax is None:
         raise _UsageError("--qmax is required")
     if ns.qmax < 0:
         raise _UsageError("--qmax must be >= 0")
+    ceiling = _qmax_ceiling()
     if ns.qmax > ceiling:
         raise _UsageError(f"--qmax {ns.qmax} exceeds the ceiling {ceiling}"
                           f" (raise {QMAX_CEILING_ENV} to allow more)")
@@ -125,15 +124,12 @@ def _spec_for(space: str, level: int | None) -> ModuleSpec:
 def _write_csv(series: TruncatedSeries) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("q", "y1", "y2", "coeff"))
-    for key, c in series.sorted_terms():
-        writer.writerow((key.q_deg, key.y1_deg, key.y2_deg, str(c)))
+    for (q, y1, y2), c in series.sorted_terms():
+        writer.writerow((q, y1, y2, str(c)))
 
 
 def _write_json(series: TruncatedSeries) -> None:
-    rows = [
-        [key.q_deg, key.y1_deg, key.y2_deg, str(c)]
-        for key, c in series.sorted_terms()
-    ]
+    rows = [[q, y1, y2, str(c)] for (q, y1, y2), c in series.sorted_terms()]
     if not rows:
         sys.stdout.write("[]\n")
         return
@@ -185,8 +181,8 @@ def verify_conjugation(trials: int, seed: int) -> tuple[int, list[str]]:
             return 1, [f"trial {t}: same-color energy mismatch on {p}"]
         n1 = _random_partition(rng)
         n2 = _random_partition(rng)
-        d = DualChargeType(conjugate(n1), conjugate(n2))
-        if mixed_energy_from_charges(n1, n2) != mixed_energy_from_dual(d):
+        r1, r2 = conjugate(n1), conjugate(n2)
+        if mixed_energy_from_charges(n1, n2) != mixed_energy_from_dual(r1, r2):
             return 1, [f"trial {t}: cross-color energy mismatch on {n1} / {n2}"]
     return 0, [f"{trials}/{trials} ok"]
 

@@ -26,8 +26,6 @@ of the character term indexed by (r1, r2) is the two diagonal energies from
 the dual side minus the mixed one.
 """
 
-from typing import NamedTuple
-
 Partition = tuple[int, ...]
 
 
@@ -61,13 +59,6 @@ def _entry(p: Partition, t: int) -> int:
     return p[t - 1] if 1 <= t <= len(p) else 0
 
 
-class DualChargeType(NamedTuple):
-    """Dual counts of a two-color monomial: r1 for color 1, r2 for color 2."""
-
-    r1: Partition
-    r2: Partition
-
-
 def diag_energy_from_charges(n: Partition) -> int:
     """Same-color minimal energy from the charge list:
 
@@ -98,10 +89,12 @@ def mixed_energy_from_charges(n1: Partition, n2: Partition) -> int:
     return sum(min(c2, 3 * c1) for c2 in n2 for c1 in n1)
 
 
-def mixed_energy_from_dual(d: DualChargeType) -> int:
-    """Cross-color interaction from the dual counts, grouping color-2 counts
-    in threes: sum_s r1^(s) * (r2^(3s-2) + r2^(3s-1) + r2^(3s))."""
-    r1, r2 = d
+def mixed_energy_from_dual(r1: Partition, r2: Partition) -> int:
+    """Cross-color interaction from the dual counts r1 (color 1) and r2
+    (color 2), grouping color-2 counts in threes:
+
+        sum_s r1^(s) * (r2^(3s-2) + r2^(3s-1) + r2^(3s)).
+    """
     validate_partition(r1)
     validate_partition(r2)
     total = 0

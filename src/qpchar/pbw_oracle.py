@@ -2,7 +2,8 @@
 the six positive roots of G2, computed two unrelated ways.
 
 The positive roots, in the generator enumeration order used throughout, and
-their (y1, y2) weights in the simple-root basis:
+their (y1, y2) weights in the simple-root basis; `POSITIVE_ROOTS` holds the
+weights in this table's order:
 
     alpha2            (0, 1)
     alpha1            (1, 0)
@@ -22,25 +23,10 @@ series arithmetic or `divide_geometric`, so the two agree only if both are
 right.
 """
 
-from typing import NamedTuple
-
 from .series import TruncatedSeries, divide_geometric, validate_trunc
 
 
-class PositiveRoot(NamedTuple):
-    name: str
-    y1: int
-    y2: int
-
-
-POSITIVE_ROOTS: tuple[PositiveRoot, ...] = (
-    PositiveRoot("alpha2", 0, 1),
-    PositiveRoot("alpha1", 1, 0),
-    PositiveRoot("alpha1+alpha2", 1, 1),
-    PositiveRoot("alpha1+2alpha2", 1, 2),
-    PositiveRoot("alpha1+3alpha2", 1, 3),
-    PositiveRoot("2alpha1+3alpha2", 2, 3),
-)
+POSITIVE_ROOTS: tuple[tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3))
 
 
 def product_side(qmax: int) -> TruncatedSeries:
@@ -48,9 +34,9 @@ def product_side(qmax: int) -> TruncatedSeries:
     each divided out of the q-layers of 1 by one `divide_geometric` sweep."""
     validate_trunc(qmax)
     layers: list[dict[tuple[int, int], int]] = [{(0, 0): 1}] + [{} for _ in range(qmax)]
-    for root in POSITIVE_ROOTS:
+    for a, b in POSITIVE_ROOTS:
         for m in range(1, qmax + 1):
-            divide_geometric(layers, m, root.y1, root.y2)
+            divide_geometric(layers, m, a, b)
     return TruncatedSeries(
         qmax, {(q, u, v): c for q, layer in enumerate(layers) for (u, v), c in layer.items()}
     )
@@ -85,8 +71,7 @@ def pbw_enumerated(qmax: int) -> TruncatedSeries:
     validate_trunc(qmax)
     table = _partition_table(qmax)
     states: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    for root in POSITIVE_ROOTS:
-        a, b = root.y1, root.y2
+    for a, b in POSITIVE_ROOTS:
         folded: dict[tuple[int, int, int], int] = {}
         get = folded.get
         for (q, u, v), c in states.items():

@@ -9,15 +9,18 @@ and discarded beyond that.  Comparing two series with `first_mismatch`
 requires equal truncations; a mismatch is always a caller bug and raises
 instead of being silently reconciled.
 
-Zero coefficients are never stored, so structural equality of the term maps
-is semantic equality of the truncated series.
+Terms are keyed by plain (q_deg, y1_deg, y2_deg) triples of ints; the
+constructor checks each key and stores it as given.  Zero coefficients are
+never stored, and `terms` is a read-only view, so structural equality of
+the term maps is semantic equality of the truncated series.
 
 `divide_geometric` works instead on a mutable form, one {(y1_deg, y2_deg):
 coeff} dict per q-degree, so a long chain of divisions builds a single
 `TruncatedSeries` at the end.
 """
 
-from typing import Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Mapping
 
 
 class SeriesError(ValueError):
@@ -36,17 +39,6 @@ class OutOfTruncation(SeriesError):
     """The requested q-degree is beyond the truncation: unknown, not zero."""
 
 
-class SeriesKey(NamedTuple):
-    """Exponent triple (q_deg, y1_deg, y2_deg) of one term."""
-
-    q_deg: int
-    y1_deg: int
-    y2_deg: int
-
-
-KeyLike = SeriesKey | tuple[int, int, int]
-
-
 def validate_trunc(trunc) -> None:
     """Raise unless `trunc` is a truncation order: an int (not a bool) >= 0."""
     if not isinstance(trunc, int) or isinstance(trunc, bool):
@@ -55,10 +47,10 @@ def validate_trunc(trunc) -> None:
         raise ValueError(f"truncation order must be >= 0, got {trunc}")
 
 
-def _checked_keys(keys, trunc: int):
-    """Yield each key as a SeriesKey.  Raise TypeError unless it is a triple
-    of ints (bools refused), ValueError for a negative exponent, and
-    OutOfTruncation for a q-degree beyond `trunc`."""
+def _check_keys(keys, trunc: int) -> None:
+    """Raise TypeError unless each key is a triple of ints (bools refused),
+    ValueError for a negative exponent, and OutOfTruncation for a q-degree
+    beyond `trunc`."""
     for key in keys:
         q, u, v = key
         if type(q) is not int or type(u) is not int or type(v) is not int:
@@ -67,42 +59,40 @@ def _checked_keys(keys, trunc: int):
             raise ValueError(f"negative exponent in key {key!r}")
         if q > trunc:
             raise OutOfTruncation(f"key {key!r} has q_deg beyond truncation {trunc}")
-        # tuple.__new__ skips the named tuple's Python-level __new__, so the
-        # constructor pays no more per term than the generator's resume
-        yield tuple.__new__(SeriesKey, (q, u, v))
 
 
 class TruncatedSeries:
     """Sparse integer series truncated at q^trunc.
 
-    Instances are immutable after construction and safe to share.  Keys
-    are triples of ints >= 0 and coefficients are ints; bools are refused
-    for both.
+    Instances are immutable after construction and safe to share: `terms`
+    is a read-only view of the nonzero terms.  Keys are triples of ints
+    >= 0 and coefficients are ints; bools are refused for both.
     """
 
     __slots__ = ("trunc", "terms")
 
-    def __init__(self, trunc: int, terms: Mapping[KeyLike, int] | None = None):
+    def __init__(self, trunc: int, terms: Mapping[tuple[int, int, int], int] | None = None):
         validate_trunc(trunc)
-        clean: dict[SeriesKey, int] = {}
+        clean: dict[tuple[int, int, int], int] = {}
         if terms:
-            for key, c in zip(_checked_keys(terms, trunc), terms.values()):
+            _check_keys(terms, trunc)
+            for key, c in terms.items():
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"coefficient {c!r} is not an exact integer")
                 if c:
                     clean[key] = c
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    def coeff(self, key: KeyLike) -> int:
+    def coeff(self, key: tuple[int, int, int]) -> int:
         """Coefficient at `key`, 0 if absent.  The key is checked as the
         constructor checks keys: OutOfTruncation when the q-degree exceeds
         the truncation order (the value is unknown there), TypeError or
         ValueError when it is not a triple of ints >= 0."""
-        (key,) = _checked_keys((key,), self.trunc)
+        _check_keys((key,), self.trunc)
         return self.terms.get(key, 0)
 
     def __eq__(self, other) -> bool:
@@ -110,7 +100,7 @@ class TruncatedSeries:
             return NotImplemented
         return self.trunc == other.trunc and self.terms == other.terms
 
-    def first_mismatch(self, other: "TruncatedSeries") -> tuple[SeriesKey, int, int] | None:
+    def first_mismatch(self, other: "TruncatedSeries") -> tuple[tuple[int, int, int], int, int] | None:
         """The lexicographically first key where the two series differ, with
         this series' and the other's coefficient there; None if equal."""
         self._check_compatible(other)
@@ -128,7 +118,7 @@ class TruncatedSeries:
                 f"truncation orders differ: {self.trunc} != {other.trunc}"
             )
 
-    def sorted_terms(self) -> list[tuple[SeriesKey, int]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, int, int], int]]:
         """Terms sorted lexicographically by (q_deg, y1_deg, y2_deg); this is
         the canonical serialization order."""
         return sorted(self.terms.items())

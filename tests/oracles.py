@@ -21,12 +21,9 @@ generator as `enumerate_basis`'s.
 
 import itertools
 from math import isqrt
+from operator import mul
 
-from qpchar.partitions import (
-    DualChargeType,
-    conjugate,
-    diag_energy_from_charges,
-)
+from qpchar.partitions import conjugate, diag_energy_from_charges
 from qpchar.qp_enum import (
     QPMonomial,
     _charge_types,
@@ -36,22 +33,20 @@ from qpchar.qp_enum import (
 )
 from qpchar.series import TruncatedSeries
 
-
-def total_exponent(d: DualChargeType) -> int:
-    """q-exponent of the character term indexed by d:
+def total_exponent(r1: tuple[int, ...], r2: tuple[int, ...]) -> int:
+    """q-exponent of the character term indexed by the dual counts (r1, r2):
 
         sum r1^(s)^2 + sum r2^(s)^2 - sum_s r1^(s) * (three-block of r2).
 
-    Always >= 0, and zero only for the empty d: writing a = r1^(s) and
+    Always >= 0, and zero only for r1 = r2 = (): writing a = r1^(s) and
     x, y, z for its color-2 block, each block equals
     a^2/4 + (x-a/2)^2 + (y-a/2)^2 + (z-a/2)^2.
 
     Restated here rather than summed from `diag_energy_from_dual` and
-    `mixed_energy_from_dual`: those validate their arguments, which the
-    box search of `brute_dual_charge_types` would pay millions of times,
-    and the tests compare the library's energies with this formula.
+    `mixed_energy_from_dual`, so the tests compare the library's energies
+    with an independent formula; `brute_dual_charge_types` evaluates the
+    same formula with its r2 sums precomputed.
     """
-    r1, r2 = d
     mixed = sum(a * sum(r2[3 * s:3 * s + 3]) for s, a in enumerate(r1))
     return sum(a * a for a in r1) + sum(x * x for x in r2) - mixed
 
@@ -125,8 +120,9 @@ def _partitions_in_box(max_len: int, max_part: int):
         yield from rec((), max_part)
 
 
-def brute_dual_charge_types(level: int | None, qmax: int) -> set[DualChargeType]:
-    """Filter an exhaustive box for pairs with total_exponent <= qmax.
+def dual_box(level: int | None, qmax: int) -> tuple[int, int, int]:
+    """(max_part, len1, len2) of the exhaustive box: r1 has at most len1
+    parts and r2 at most len2 parts, each part <= max_part.
 
     Box sufficiency: write a = r1^(s) and x for an r2 entry of block s.  The
     exponent is a sum of blocks a^2/4 + sum of (x - a/2)^2, so exponent
@@ -138,16 +134,33 @@ def brute_dual_charge_types(level: int | None, qmax: int) -> set[DualChargeType]
     max_part = 2 * isqrt(qmax) + 1 if qmax > 0 else 0
     len1 = qmax if level is None else min(level, qmax)
     len2 = 4 * qmax if level is None else min(3 * level, 4 * qmax)
+    return max_part, len1, len2
+
+
+def brute_dual_charge_types(level: int | None, qmax: int) -> set[tuple]:
+    """Filter the exhaustive box `dual_box` for pairs (r1, r2) with
+    total_exponent <= qmax.
+
+    The exponent is evaluated as in `total_exponent`, but each r2's square
+    sum and three-block sums r2[3s:3s+3] (s < len1) are computed once and
+    every r1 is filtered against that list: the box holds millions of
+    pairs at the Verma module, qmax 4.
+    """
+    max_part, len1, len2 = dual_box(level, qmax)
+    r2_sums = [
+        (r2, sum(x * x for x in r2), [sum(r2[3 * s:3 * s + 3]) for s in range(len1)])
+        for r2 in _partitions_in_box(len2, max_part)
+    ]
     out = set()
     for r1 in _partitions_in_box(len1, max_part):
-        for r2 in _partitions_in_box(len2, max_part):
-            d = DualChargeType(r1, r2)
-            if total_exponent(d) <= qmax:
-                out.add(d)
+        square1 = sum(a * a for a in r1)
+        for r2, square2, blocks in r2_sums:
+            if square1 + square2 - sum(map(mul, r1, blocks)) <= qmax:
+                out.add((r1, r2))
     return out
 
 
-def dual_charge_types(spec, qmax: int) -> list[DualChargeType]:
+def dual_charge_types(spec, qmax: int) -> list[tuple]:
     """The fermionic sum's index set: every pair (r1, r2) under the spec's
     caps with exponent <= qmax, read off the charge lists `qp_enum` walks.
 
@@ -155,15 +168,15 @@ def dual_charge_types(spec, qmax: int) -> list[DualChargeType]:
     least energy e1_min + e2_min is <= qmax, and the exponent of a pair is
     that least energy, so each charge type (n1, n2) of the walk, n1 the
     conjugate of an r1 from `_color1_dual_counts` and n2 from
-    `_color2_charge_lists`, becomes DualChargeType(r1, conjugate(n2)), in
-    walk order.
+    `_color2_charge_lists`, becomes the pair (r1, conjugate(n2)), in walk
+    order.
     """
     out = []
     for r1 in _color1_dual_counts(spec, qmax):
         n1 = conjugate(r1)
         budget = qmax - diag_energy_from_charges(n1)
         for n2, _e2_min in _color2_charge_lists(n1, budget, spec.color2_cap):
-            out.append(DualChargeType(r1, conjugate(n2)))
+            out.append((r1, conjugate(n2)))
     return out
 
 
@@ -201,10 +214,10 @@ def pair_sum_character(spec, qmax: int) -> TruncatedSeries:
             cache[diffs] = coeffs
         return coeffs
 
-    for d in dual_charge_types(spec, qmax):
-        e = total_exponent(d)
-        y1, y2 = sum(d.r1), sum(d.r2)
-        diffs = tuple(sorted(_difference_multiset(d.r1) + _difference_multiset(d.r2)))
+    for r1, r2 in dual_charge_types(spec, qmax):
+        e = total_exponent(r1, r2)
+        y1, y2 = sum(r1), sum(r2)
+        diffs = tuple(sorted(_difference_multiset(r1) + _difference_multiset(r2)))
         coeffs = poch_expansion(diffs)
         for i in range(qmax - e + 1):
             c = coeffs[i]

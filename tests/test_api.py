@@ -3,12 +3,13 @@ import pytest
 import qpchar
 import qpchar.fermionic
 import qpchar.partitions
+import qpchar.pbw_oracle
 import qpchar.qp_enum
+import qpchar.series
 
 PUBLIC = {
     "ModuleSpec",
     "character_fermionic",
-    "DualChargeType",
     "Partition",
     "conjugate",
     "diag_energy_from_charges",
@@ -17,7 +18,6 @@ PUBLIC = {
     "mixed_energy_from_dual",
     "validate_partition",
     "POSITIVE_ROOTS",
-    "PositiveRoot",
     "pbw_enumerated",
     "product_side",
     "QPMonomial",
@@ -28,7 +28,6 @@ PUBLIC = {
     "TruncationMismatch",
     "NonPositiveExponent",
     "OutOfTruncation",
-    "SeriesKey",
     "TruncatedSeries",
     "divide_geometric",
     "__version__",
@@ -42,8 +41,16 @@ def test_public_api_is_pinned():
         assert hasattr(qpchar, name), name
 
 
-@pytest.mark.parametrize("module", [qpchar, qpchar.fermionic, qpchar.partitions, qpchar.qp_enum])
-@pytest.mark.parametrize("name", ["enumerate_dual_charge_types", "total_exponent"])
+@pytest.mark.parametrize(
+    "module",
+    [qpchar, qpchar.fermionic, qpchar.partitions, qpchar.pbw_oracle, qpchar.qp_enum,
+     qpchar.series],
+)
+@pytest.mark.parametrize(
+    "name",
+    ["enumerate_dual_charge_types", "total_exponent", "SeriesKey", "DualChargeType",
+     "PositiveRoot"],
+)
 def test_internal_names_not_exported(module, name):
     assert not hasattr(module, name)
 

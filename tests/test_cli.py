@@ -126,6 +126,17 @@ def test_ceiling_env_read_only_with_qmax(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "qmax_args,message",
+    [((), "--qmax is required"), (("--qmax", "-1"), "--qmax must be >= 0")],
+)
+def test_ceiling_env_read_after_qmax_checks(capsys, monkeypatch, qmax_args, message):
+    # a bad ceiling must not hide the error in --qmax itself
+    monkeypatch.setenv(QMAX_CEILING_ENV, "plenty")
+    code, out, err = run(capsys, "verify", "--check", "identity", *qmax_args)
+    assert (code, out, err) == (2, "", f"qpchar: error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "name,args",
     [
         ("character_fermionic", ("char", "--space", "N", "--qmax", "1")),

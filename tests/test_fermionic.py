@@ -1,14 +1,16 @@
 import pytest
 
 from oracles import (
+    _partitions_in_box,
     brute_dual_charge_types,
     brute_mul,
+    dual_box,
     dual_charge_types,
     pair_sum_character,
     total_exponent,
 )
 from qpchar.fermionic import ModuleSpec, character_fermionic
-from qpchar.partitions import DualChargeType, validate_partition
+from qpchar.partitions import validate_partition
 
 S1 = ModuleSpec.standard(1)
 S2 = ModuleSpec.standard(2)
@@ -51,8 +53,8 @@ def test_spec_describe():
 # (`_color1_dual_counts`, `_color2_charge_lists`) into dual count pairs.
 
 def test_enumerate_budget_zero_is_empty_pair_only():
-    assert dual_charge_types(S1, 0) == [DualChargeType((), ())]
-    assert dual_charge_types(V, 0) == [DualChargeType((), ())]
+    assert dual_charge_types(S1, 0) == [((), ())]
+    assert dual_charge_types(V, 0) == [((), ())]
 
 
 # All pairs with exponent <= 1 at level 1, confirmed by the exhaustive box
@@ -60,13 +62,13 @@ def test_enumerate_budget_zero_is_empty_pair_only():
 # exponent 4 + 3 - 2*3 = 1, within the level-1 caps since its r1 has a single
 # entry (two color-1 quasi-particles of charge 1, none of charge 2).
 LEVEL1_Q1 = {
-    DualChargeType((), ()),
-    DualChargeType((), (1,)),
-    DualChargeType((1,), ()),
-    DualChargeType((1,), (1,)),
-    DualChargeType((1,), (1, 1)),
-    DualChargeType((1,), (1, 1, 1)),
-    DualChargeType((2,), (1, 1, 1)),
+    ((), ()),
+    ((), (1,)),
+    ((1,), ()),
+    ((1,), (1,)),
+    ((1,), (1, 1)),
+    ((1,), (1, 1, 1)),
+    ((2,), (1, 1, 1)),
 }
 
 
@@ -89,12 +91,26 @@ def test_enumerate_matches_brute_force(spec, qmax):
     assert set(got) == brute_dual_charge_types(spec.level, qmax)
 
 
+@pytest.mark.parametrize("spec,qmax", [(S2, 3), (V, 3)])
+def test_brute_dual_charge_types_filters_by_total_exponent(spec, qmax):
+    # the box oracle's precomputed sums must keep exactly the pairs that
+    # `total_exponent` keeps
+    max_part, len1, len2 = dual_box(spec.level, qmax)
+    want = {
+        (r1, r2)
+        for r1 in _partitions_in_box(len1, max_part)
+        for r2 in _partitions_in_box(len2, max_part)
+        if total_exponent(r1, r2) <= qmax
+    }
+    assert brute_dual_charge_types(spec.level, qmax) == want
+
+
 def test_enumerate_postconditions():
-    for d in dual_charge_types(S2, 5):
-        validate_partition(d.r1)
-        validate_partition(d.r2)
-        assert len(d.r1) <= 2 and len(d.r2) <= 6
-        assert total_exponent(d) <= 5
+    for r1, r2 in dual_charge_types(S2, 5):
+        validate_partition(r1)
+        validate_partition(r2)
+        assert len(r1) <= 2 and len(r2) <= 6
+        assert total_exponent(r1, r2) <= 5
 
 
 # --- the character sum ------------------------------------------------------
@@ -143,9 +159,9 @@ def _reference_character(spec, qmax):
         return tuple(r[i] - r[i + 1] for i in range(len(r) - 1)) + (r[-1],)
 
     total = {}
-    for d in dual_charge_types(spec, qmax):
-        term = {(total_exponent(d), sum(d.r1), sum(d.r2)): 1}
-        for dd in diffs(d.r1) + diffs(d.r2):
+    for r1, r2 in dual_charge_types(spec, qmax):
+        term = {(total_exponent(r1, r2), sum(r1), sum(r2)): 1}
+        for dd in diffs(r1) + diffs(r2):
             term = brute_mul(term, _qpoch_inverse(qmax, dd), qmax)
         for key, c in term.items():
             total[key] = total.get(key, 0) + c

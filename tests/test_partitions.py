@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from oracles import total_exponent
 from qpchar.partitions import (
-    DualChargeType,
     conjugate,
     diag_energy_from_charges,
     diag_energy_from_dual,
@@ -16,7 +15,6 @@ from qpchar.partitions import (
 partitions_st = st.lists(st.integers(1, 15), max_size=10).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
-dual_st = st.tuples(partitions_st, partitions_st).map(lambda t: DualChargeType(*t))
 
 
 def test_validate_partition_accepts_valid():
@@ -44,8 +42,8 @@ def test_conjugate_rejects_non_partitions(p):
         diag_energy_from_dual,
         lambda p: mixed_energy_from_charges(p, (3,)),
         lambda p: mixed_energy_from_charges((1,), p),
-        lambda p: mixed_energy_from_dual(DualChargeType(p, (1,))),
-        lambda p: mixed_energy_from_dual(DualChargeType((1,), p)),
+        lambda p: mixed_energy_from_dual(p, (1,)),
+        lambda p: mixed_energy_from_dual((1,), p),
     ],
     ids=["diag_charges", "diag_dual", "mixed_charges_n1", "mixed_charges_n2",
          "mixed_dual_r1", "mixed_dual_r2"],
@@ -95,30 +93,29 @@ def test_mixed_energy_from_charges_examples():
 
 
 def test_mixed_energy_from_dual_examples():
-    assert mixed_energy_from_dual(DualChargeType((1,), (1, 1, 1))) == 3
-    assert mixed_energy_from_dual(DualChargeType((1,), (1,))) == 1
-    assert mixed_energy_from_dual(DualChargeType((), (9, 4))) == 0
+    assert mixed_energy_from_dual((1,), (1, 1, 1)) == 3
+    assert mixed_energy_from_dual((1,), (1,)) == 1
+    assert mixed_energy_from_dual((), (9, 4)) == 0
 
 
 @settings(max_examples=1000, deadline=None)
 @given(partitions_st, partitions_st)
 def test_mixed_energies_agree_under_conjugation(n1, n2):
-    d = DualChargeType(conjugate(n1), conjugate(n2))
-    assert mixed_energy_from_charges(n1, n2) == mixed_energy_from_dual(d)
+    assert mixed_energy_from_charges(n1, n2) == mixed_energy_from_dual(conjugate(n1), conjugate(n2))
 
 
 def test_total_exponent_examples():
-    assert total_exponent(DualChargeType((1,), (1, 1, 1))) == 1
-    assert total_exponent(DualChargeType((2,), (1, 1, 1))) == 1
-    assert total_exponent(DualChargeType((), ())) == 0
+    assert total_exponent((1,), (1, 1, 1)) == 1
+    assert total_exponent((2,), (1, 1, 1)) == 1
+    assert total_exponent((), ()) == 0
 
 
 @settings(max_examples=1000, deadline=None)
-@given(dual_st)
-def test_total_exponent_positive_definite(d):
-    e = total_exponent(d)
-    assert e == diag_energy_from_dual(d.r1) + diag_energy_from_dual(d.r2) - mixed_energy_from_dual(d)
+@given(partitions_st, partitions_st)
+def test_total_exponent_positive_definite(r1, r2):
+    e = total_exponent(r1, r2)
+    assert e == diag_energy_from_dual(r1) + diag_energy_from_dual(r2) - mixed_energy_from_dual(r1, r2)
     assert e >= 0
-    assert (e == 0) == (d.r1 == () and d.r2 == ())
+    assert (e == 0) == (r1 == () and r2 == ())
     # each block (a; x, y, z) is a^2/4 + sum of (x - a/2)^2, hence the floor
-    assert 4 * e >= sum(x * x for x in d.r1)
+    assert 4 * e >= sum(x * x for x in r1)

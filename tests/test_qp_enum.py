@@ -7,7 +7,6 @@ from oracles import brute_basis_series, per_type_basis_count, total_exponent
 from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.partitions import (
-    DualChargeType,
     conjugate,
     diag_energy_from_charges,
     mixed_energy_from_charges,
@@ -317,7 +316,7 @@ def test_energy_floor_is_dual_exponent():
     for b in iter_basis_monomials(S2, 5):
         n1 = tuple(n for n, _ in b.color1)
         n2 = tuple(n for n, _ in b.color2)
-        e = total_exponent(DualChargeType(conjugate(n1), conjugate(n2)))
+        e = total_exponent(conjugate(n1), conjugate(n2))
         assert b.energy >= e
         key = (n1, n2)
         floor_seen[key] = min(floor_seen.get(key, 10 ** 9), b.energy - e)

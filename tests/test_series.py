@@ -6,7 +6,6 @@ from oracles import brute_mul
 from qpchar.series import (
     NonPositiveExponent,
     OutOfTruncation,
-    SeriesKey,
     TruncatedSeries,
     TruncationMismatch,
     divide_geometric,
@@ -98,6 +97,25 @@ def test_immutability():
         s.trunc = 7
 
 
+def test_terms_are_read_only():
+    s = _one(1)
+    with pytest.raises(TypeError):
+        s.terms[(1, 0, 0)] = 5
+    with pytest.raises(TypeError):
+        del s.terms[(0, 0, 0)]
+    assert s == _one(1)
+    assert dict(s.terms) == {(0, 0, 0): 1}
+    assert s.terms.get((0, 0, 0)) == 1 and s.terms.get((1, 0, 0)) is None
+
+
+def test_keys_stored_as_given():
+    key = (1, 0, 0)
+    s = TruncatedSeries(1, {key: 3})
+    (stored,) = s.terms
+    assert stored is key
+    assert s.sorted_terms()[0][0] is key
+
+
 # --- divide_geometric -------------------------------------------------------
 
 def _layers(s: TruncatedSeries) -> list[dict]:
@@ -123,18 +141,18 @@ def _geometric(trunc, m, a, b):
 
 def test_geometric_factor_basic():
     assert _geometric(3, 1, 1, 0).sorted_terms() == [
-        (SeriesKey(0, 0, 0), 1),
-        (SeriesKey(1, 1, 0), 1),
-        (SeriesKey(2, 2, 0), 1),
-        (SeriesKey(3, 3, 0), 1),
+        ((0, 0, 0), 1),
+        ((1, 1, 0), 1),
+        ((2, 2, 0), 1),
+        ((3, 3, 0), 1),
     ]
 
 
 def test_geometric_factor_step_two():
     assert _geometric(5, 2, 1, 3).sorted_terms() == [
-        (SeriesKey(0, 0, 0), 1),
-        (SeriesKey(2, 1, 3), 1),
-        (SeriesKey(4, 2, 6), 1),
+        ((0, 0, 0), 1),
+        ((2, 1, 3), 1),
+        ((4, 2, 6), 1),
     ]
 
 
