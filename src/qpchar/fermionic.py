@@ -26,6 +26,7 @@ len(r2) <= 3k, so the level-k caps become "at most k blocks".
 
 from dataclasses import dataclass
 
+from .partitions import _slot_width
 from .series import TruncatedSeries, validate_trunc
 
 
@@ -126,51 +127,76 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     A state is (a, z, y1 degree, y2 degree, blocks left) after one or more
     nonzero blocks: a and z are the last block's color-1 count and last
     color-2 count, and blocks left is None without a cap.  It holds the
-    q-coefficient list of the sum over every block sequence reaching it,
-    with the Pochhammer factors of the differences inside that sequence.  A
-    step appends a block (a', x, y, z') with a' <= a and x <= z, multiplying
-    by q^(its exponent share) and by 1/(q)_d for the new differences
+    q-series of the sum over every block sequence reaching it, with the
+    Pochhammer factors of the differences inside that sequence.  A step
+    appends a block (a', x, y, z') with a' <= a and x <= z, multiplying by
+    q^(its exponent share) and by 1/(q)_d for the new differences
     a - a', z - x, x - y, y - z'.  Closing a state multiplies by
-    1/(q)_a (q)_z, the last differences taken against zero.
+    1/(q)_a (q)_z, the last differences taken against zero, and adds it to
+    the total of its (y1, y2) degree.
 
     Every nonzero block raises y1 + y2, so taking states in increasing
     y1 + y2 closes each one after everything that feeds it.  Each product
     prod_d 1/(q)_d is expanded once per sorted multiset of differences, by
-    the in-place geometric pass: one sweep c[j] += c[j-i] per factor
-    1/(1-q^i).
+    a list sweep c[j] += c[j-i] per factor 1/(1-q^i), and looked up by the
+    unsorted differences after that.
+
+    States, totals and finished products are held packed: the coefficients
+    through q^qmax in one int, `width` bits per power of q (Kronecker
+    substitution).  A step is then one multiply, a shift by the exponent
+    share and a mask to the truncation, and the lowest power a state holds
+    is its lowest set bit.  The width is `_slot_width(qmax)`, fixed before
+    any packing.  The packing is exact because no slot through q^qmax can
+    reach 2^width, and every count is >= 0, so such a slot holds its true
+    value:
+    * a product prod_d 1/(q)_d has at most four factors, so its
+      coefficients are at most those of prod_{m>=1} (1-q^m)^-4, below
+      those of the six-root product;
+    * a step's coefficient at q^j is part of its target state's, since a
+      state only sums non-negative series.  Closing a state multiplies it
+      by a series with constant term 1 and non-negative coefficients and
+      adds it to its total, so the state's coefficient at q^j is at most
+      the total's: the character's coefficient at q^j and the state's
+      (y1, y2) degree;
+    * `_coefficient_bound(qmax)` bounds every character coefficient
+      through q^qmax.
+    Slots past the truncation may overflow, but a carry moves only upward
+    and is masked away.
     """
     validate_spec(spec)
     validate_trunc(qmax)
-    cache: dict[tuple[int, ...], list[int]] = {}
+    width = _slot_width(qmax)
+    mask = (1 << width * (qmax + 1)) - 1
+    by_multiset: dict[tuple[int, ...], int] = {}
+    by_diffs: dict[tuple[int, ...], int] = {}
 
-    def add_product(dst: list[int], src: list[int], lo: int, shift: int,
-                    diffs: tuple[int, ...]) -> None:
-        # dst += q^shift * src * prod_d 1/(q)_d through q^qmax; src[:lo] is 0
-        key = tuple(sorted(d for d in diffs if d))
-        poch = cache.get(key)
+    def product(diffs: tuple[int, ...]) -> int:
+        # prod_d 1/(q)_d through q^qmax, packed
+        poch = by_diffs.get(diffs)
         if poch is None:
-            poch = [1] + [0] * qmax
-            for d in key:
-                for i in range(1, d + 1):
-                    for j in range(i, qmax + 1):
-                        poch[j] += poch[j - i]
-            cache[key] = poch
-        top = qmax - shift
-        for j in range(lo, top + 1):
-            c = src[j]
-            if c:
-                base = j + shift
-                for i in range(top - j + 1):
-                    dst[base + i] += c * poch[i]
+            key = tuple(sorted(d for d in diffs if d))
+            poch = by_multiset.get(key)
+            if poch is None:
+                coeffs = [1] + [0] * qmax
+                for d in key:
+                    for i in range(1, d + 1):
+                        for j in range(i, qmax + 1):
+                            coeffs[j] += coeffs[j - i]
+                poch = 0
+                for c in reversed(coeffs):
+                    poch = poch << width | c
+                by_multiset[key] = poch
+            by_diffs[diffs] = poch
+        return poch
 
     # states keyed by y1 + y2 degree; the start state has no block yet
-    layers = {0: {(None, None, 0, 0, spec.level): [1] + [0] * qmax}}
-    totals: dict[tuple[int, int], list[int]] = {}
+    layers = {0: {(None, None, 0, 0, spec.level): 1}}
+    totals: dict[tuple[int, int], int] = {}
     while layers:
         for (a, pz, u, v, left), coeffs in layers.pop(min(layers)).items():
-            lo = next(j for j, c in enumerate(coeffs) if c)
-            total = totals.setdefault((u, v), [0] * (qmax + 1))
-            add_product(total, coeffs, lo, 0, () if a is None else (a, pz))
+            lo = ((coeffs & -coeffs).bit_length() - 1) // width
+            closed = coeffs if a is None else coeffs * product((a, pz)) & mask
+            totals[u, v] = totals.get((u, v), 0) + closed
             if left == 0:
                 continue
             nleft = None if left is None else left - 1
@@ -182,14 +208,16 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
                 nu, nv = u + a2, v + x + y + z
                 layer = layers.setdefault(nu + nv, {})
                 key = (a2, z, nu, nv, nleft)
-                dst = layer.get(key)
-                if dst is None:
-                    dst = layer[key] = [0] * (qmax + 1)
-                add_product(dst, coeffs, lo, e, diffs)
-    terms = {
-        (q, u, v): c
-        for (u, v), total in totals.items()
-        for q, c in enumerate(total)
-        if c
-    }
+                step = (coeffs * product(diffs) << e * width) & mask
+                layer[key] = layer.get(key, 0) + step
+    slot = (1 << width) - 1
+    terms = {}
+    for (u, v), total in totals.items():
+        q = 0
+        while total:
+            c = total & slot
+            if c:
+                terms[q, u, v] = c
+            total >>= width
+            q += 1
     return TruncatedSeries(qmax, terms)

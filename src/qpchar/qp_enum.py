@@ -35,7 +35,10 @@ T_l (`_run_slack`), which counts partitions into at most l parts.
 `enumerate_basis` counts the basis without listing charge types: it takes
 each color-1 charge list n1 once, builds its color-1 energy histogram from
 the slack tables of its runs, and counts every color-2 charge list at once
-with a DP over charge values (`_color2_counts`).  `iter_basis_monomials`
+with a DP over charge values (`_color2_counts`).  Each histogram is one
+int with a fixed-width slot per energy, so adding a run or pairing two
+histograms is one big-int multiply; the slot width comes from a bound on
+every count, proved before packing (`_slot_width`).  `iter_basis_monomials`
 builds the monomials themselves, one charge type (n1, n2) at a time
 (`_charge_types`).  It walks the charge lists directly: beside each n1,
 `_color2_charge_lists` grows every color-2 list n2 whose least energy fits
@@ -51,7 +54,7 @@ from itertools import groupby
 from typing import Callable, Iterator
 
 from .fermionic import ModuleSpec, validate_spec
-from .partitions import Partition, conjugate, diag_energy_from_charges, validate_partition
+from .partitions import Partition, _slot_width, conjugate, diag_energy_from_charges, validate_partition
 from .series import TruncatedSeries, validate_trunc
 
 ChargedModes = tuple[tuple[int, int], ...]
@@ -343,13 +346,14 @@ def _run_slack(length: int, tmax: int) -> list[int]:
 
 
 def _color2_counts(n1: Partition, budget: int, cap: int | None,
-                   slack: Callable[[int], list[int]]) -> tuple[int, dict[int, list[int]]]:
+                   slack: Callable[[int], int], width: int) -> tuple[int, dict[int, int]]:
     """Count the color-2 mode vectors of every color-2 charge list next to
     the color-1 charges n1, with energy at most `budget`.
 
-    Returns (lo, counts): lo is the least color-2 energy, and counts[v][j]
-    is the number of color-2 mode vectors of total charge v and energy
-    lo + j.
+    Returns (lo, counts): lo is the least color-2 energy, and counts[v]
+    packs, `width` bits per slot, the numbers of color-2 mode vectors of
+    total charge v: slot j holds those of energy lo + j, for
+    lo + j <= budget.  `slack(l)` is the slack table T_l packed alike.
 
     The p-th particle of charge c costs at least
     f_p(c) = c(1 + 2p) - X(c), X(c) = sum over a in n1 of min(3a, c),
@@ -357,7 +361,8 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     1 and appends a run of l >= 0 particles of charge c at positions
     p..p+l-1: greedy cost f_p(c) + ... + f_{p+l-1}(c) plus a slack counted
     by T_l (the gap rule binds inside the run).  Its states are (particles
-    so far p, y2 degree v, energy).
+    so far p, y2 degree v), each holding its energies packed, so a run is
+    one multiply by T_l, a shift and a mask.
 
     Energies can be negative, so pruning needs a floor on what the
     particles still to come can cost.  X(c) <= c * len(n1), so f_p(c) > 0
@@ -375,15 +380,32 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     [lo, budget].  The first particle of a charge c > c* costs c - 3|n1|
     and the rest at least least(1, c*), so no charge above
     max(c*, budget + 3|n1| - least(1, c*)) fits, nor above the cap.
+
+    The packing is exact because no slot at or below `budget` can reach
+    2^width, `width` being `_slot_width(qmax)` from `enumerate_basis`.
+    All counts are >= 0, so such a slot then holds its true count.  A
+    slot j of a state, or of a run's product before it is added, counts
+    distinct partial vectors (the particles placed so far, with their
+    modes) whose floor is lo + j.  Complete each by the cheapest particles
+    still to come, at their bounds, and put the color-1 particles of n1 at
+    theirs (greedy energy e1, with e1 + budget = qmax).  That gives a
+    basis monomial of energy e1 + lo + j <= qmax, and the partial vector is read back from it as the particles of the
+    charges already placed.  The map is injective, so the slot is at most
+    the number of basis monomials at that energy.  That number is at most
+    the cap-free one, the six-root product's coefficient at y1 = y2 = 1,
+    and so at most `_coefficient_bound(qmax)`.  The packed T_l count
+    partitions into at most l parts, which is smaller still.  Slots past
+    `budget` may overflow, but a carry moves only upward and is masked
+    away.
     """
     npos = len(n1) // 2  # positions where a particle can cost < 0
     cstar = 3 * n1[0] if n1 else 0
+    xs = [sum(min(3 * a, c) for a in n1) for c in range(cstar + 1)]  # X(c), c <= c*
     table = [[0] * (cstar + 1) for _ in range(npos + 1)]
     for p in range(npos - 1, -1, -1):
         row, after = table[p], table[p + 1]
         for c in range(1, cstar + 1):
-            f = c * (1 + 2 * p) - sum(min(3 * a, c) for a in n1)
-            row[c] = min(row[c - 1], f + after[c])
+            row[c] = min(row[c - 1], c * (1 + 2 * p) - xs[c] + after[c])
 
     def least(p: int, c: int) -> int:
         return table[p][min(c, cstar)] if p < npos else 0
@@ -392,23 +414,24 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     if cap is not None:
         top = min(top, cap)
     lo = least(0, top)
-    width = budget - lo + 1
-    if width <= 0:
+    size = budget - lo + 1  # slots: state energies lo..budget
+    if size <= 0:
         return lo, {}
-    # states[p][v][j]: count at state energy lo + j (energy + least(p, c))
-    states: list[dict[int, list[int]]] = [{0: [1] + [0] * (width - 1)}]
+    mask = (1 << width * size) - 1
+    # states[p][v]: packed counts, slot j at state energy lo + j
+    states: list[dict[int, int]] = [{0: 1}]
     for c in range(top, 0, -1):
-        x = sum(min(3 * a, c) for a in n1)
+        x = xs[min(c, cstar)]
         # a run moves p up, so taking p downward never feeds a state twice
         for p in range(len(states) - 1, -1, -1):
             here = least(p, c)
             shift = least(p, c - 1) - here
-            runs = []  # (l, state step) of each run a state at lo may take
+            runs = []  # (l, state step, T_l) of each run a state at lo may take
             l = 1
             while True:
                 d = c * l * (2 * p + l) - l * x - here + least(p + l, c - 1)
-                if d < width:
-                    runs.append((l, d))
+                if d < size:
+                    runs.append((l, d, slack(l)))
                 elif p + l >= npos:
                     break  # each further particle costs >= 0 more
                 l += 1
@@ -417,37 +440,22 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
             while runs and len(states) <= p + runs[-1][0]:
                 states.append({})
             row = states[p]
-            for v in list(row):
-                cnt = row[v]
-                first = next(j for j, n in enumerate(cnt) if n)
-                for l, d in runs:
-                    if first + d >= width:
-                        continue
-                    dst = states[p + l].get(v + c * l)
-                    if dst is None:
-                        dst = states[p + l][v + c * l] = [0] * width
-                    run = slack(l)
-                    for j in range(first, width - d):
-                        n = cnt[j]
-                        if n:
-                            base = j + d
-                            for t in range(width - base):
-                                dst[base + t] += n * run[t]
+            for v, cnt in list(row.items()):
+                first = ((cnt & -cnt).bit_length() - 1) // width
+                for l, d, run in runs:
+                    if first + d < size:
+                        dst = states[p + l]
+                        key = v + c * l
+                        dst[key] = dst.get(key, 0) + ((cnt * run << d * width) & mask)
                 if shift:
-                    if first + shift >= width:
+                    if first + shift >= size:
                         del row[v]
                     else:
-                        cnt[shift:] = cnt[:width - shift]
-                        cnt[:shift] = [0] * shift
-    counts: dict[int, list[int]] = {}
+                        row[v] = (cnt << shift * width) & mask
+    counts: dict[int, int] = {}
     for row in states:
         for v, cnt in row.items():
-            acc = counts.get(v)
-            if acc is None:
-                counts[v] = cnt
-            else:
-                for j, n in enumerate(cnt):
-                    acc[j] += n
+            counts[v] = counts.get(v, 0) + cnt
     return lo, counts
 
 
@@ -464,37 +472,62 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     list at once.  Each color is budgeted against the other's least
     energy, and the count at total energy e is the product of the two
     histograms summed over e1 + e2 = e.
+
+    Every histogram is packed into one int (Kronecker substitution): slot
+    j, `width` = `_slot_width(qmax)` bits wide, holds the count at energy
+    j above the histogram's base.  The width is fixed before any packing.
+    A pairing is then one multiply per (n1, y2 degree), shifted up to
+    energy e1 + lo and added to a packed total per (y1, y2) degree.  The
+    totals are unpacked once, into the series.
+
+    The packing is exact because no slot through q^qmax can reach
+    2^width, and all counts are >= 0, so such a slot holds its true count.
+    A slot of the color-1 histogram, partial or whole, counts distinct
+    color-1 vectors; one of a pairing or a total counts distinct
+    monomials.  Completing each by the cheapest particles still missing
+    maps it injectively to a basis monomial at the slot's energy.  So the
+    slot is at most a character coefficient summed over y1, y2, which
+    `_coefficient_bound` bounds.  `_color2_counts` argues the same for its
+    own slots.  Slots past the truncation may overflow, but a carry moves
+    only upward and is masked away.
     """
     validate_spec(spec)
     validate_trunc(qmax)
-    tables: dict[int, list[int]] = {}
+    width = _slot_width(qmax)
+    tables: dict[int, int] = {}
 
-    def slack(length: int) -> list[int]:
+    def slack(length: int) -> int:
         run = tables.get(length)
         if run is None:
-            run = tables[length] = _run_slack(length, qmax)
+            run = 0
+            for n in reversed(_run_slack(length, qmax)):
+                run = run << width | n
+            tables[length] = run
         return run
 
-    terms: dict[tuple[int, int, int], int] = {}
+    totals: dict[tuple[int, int], int] = {}
     for r1 in _color1_dual_counts(spec, qmax):
         n1 = conjugate(r1)
         e1 = diag_energy_from_charges(n1)
-        lo, counts2 = _color2_counts(n1, qmax - e1, spec.color2_cap, slack)
-        room = qmax - e1 - lo  # slack the two colors share
-        hist1 = [1] + [0] * room
+        lo, counts2 = _color2_counts(n1, qmax - e1, spec.color2_cap, slack, width)
+        if not counts2:
+            continue
+        # slack the two colors share: slots 0..qmax - e1 - lo
+        mask = (1 << width * (qmax - e1 - lo + 1)) - 1
+        hist1 = 1
         for _charge, same in groupby(n1):
-            run = slack(len(tuple(same)))
-            hist1 = [
-                sum(hist1[i] * run[s - i] for i in range(s + 1))
-                for s in range(room + 1)
-            ]
-        y1, base = sum(n1), e1 + lo
+            hist1 = hist1 * slack(len(tuple(same))) & mask
+        y1, base = sum(n1), (e1 + lo) * width
         for v, cnt in counts2.items():
-            for i, c1 in enumerate(hist1):
-                if c1:
-                    for j in range(room - i + 1):
-                        c2 = cnt[j]
-                        if c2:
-                            key = (base + i + j, y1, v)
-                            terms[key] = terms.get(key, 0) + c1 * c2
+            totals[y1, v] = totals.get((y1, v), 0) + ((hist1 * cnt & mask) << base)
+    slot = (1 << width) - 1
+    terms: dict[tuple[int, int, int], int] = {}
+    for (y1, v), total in totals.items():
+        q = 0
+        while total:
+            n = total & slot
+            if n:
+                terms[q, y1, v] = n
+            total >>= width
+            q += 1
     return TruncatedSeries(qmax, terms)

@@ -65,7 +65,8 @@ class TruncatedSeries:
     """Sparse integer series truncated at q^trunc.
 
     Instances are immutable after construction and safe to share: `terms`
-    is a read-only view of the nonzero terms.  Keys are triples of ints
+    is a read-only view of the nonzero terms.  Pickling and copying
+    rebuild a series through the constructor.  Keys are triples of ints
     >= 0 and coefficients are ints; bools are refused for both.
     """
 
@@ -86,6 +87,11 @@ class TruncatedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, since the
+        # default slot restore would go through __setattr__
+        return TruncatedSeries, (self.trunc, dict(self.terms))
 
     def coeff(self, key: tuple[int, int, int]) -> int:
         """Coefficient at `key`, 0 if absent.  The key is checked as the

@@ -16,7 +16,11 @@ partition-table count in `pbw_enumerated` replaced.  `per_type_basis_count`
 is the charge-type-by-charge-type basis count that the color-1-grouped
 count in `enumerate_basis` replaced; it walks the library's per-monomial
 path, `_charge_types`, whose color-1 dual counts come from the same
-generator as `enumerate_basis`'s.
+generator as `enumerate_basis`'s.  `list_basis_count` is `enumerate_basis`
+as it was before its histograms were packed into ints: the same DP over
+color-2 charge values, run on plain coefficient lists by double loops.  It
+takes the color-1 lists and the slack tables T_l from the library, as
+`enumerate_basis` does, so the two differ only in the packing.
 """
 
 import itertools
@@ -29,6 +33,7 @@ from qpchar.qp_enum import (
     _charge_types,
     _color1_dual_counts,
     _color2_charge_lists,
+    _run_slack,
     is_valid,
 )
 from qpchar.series import TruncatedSeries
@@ -308,3 +313,120 @@ def colored_partition_counts(qmax: int, colors: int = 6) -> list[int]:
             for j in range(part, qmax + 1):
                 dp[j] += dp[j - part]
     return dp
+
+
+def _list_color2_counts(n1, budget: int, cap, slack) -> tuple[int, dict[int, list[int]]]:
+    """The color-2 DP of `qp_enum._color2_counts` on plain lists: returns
+    (lo, counts) with counts[v][j] the number of color-2 mode vectors of
+    total charge v and energy lo + j <= budget.  `slack(l)` is the list
+    T_l.  See `_color2_counts` for the states, the floor `least` and the
+    bound `top`."""
+    npos = len(n1) // 2
+    cstar = 3 * n1[0] if n1 else 0
+    table = [[0] * (cstar + 1) for _ in range(npos + 1)]
+    for p in range(npos - 1, -1, -1):
+        row, after = table[p], table[p + 1]
+        for c in range(1, cstar + 1):
+            f = c * (1 + 2 * p) - sum(min(3 * a, c) for a in n1)
+            row[c] = min(row[c - 1], f + after[c])
+
+    def least(p: int, c: int) -> int:
+        return table[p][min(c, cstar)] if p < npos else 0
+
+    top = max(cstar, budget + 3 * sum(n1) - least(1, cstar))
+    if cap is not None:
+        top = min(top, cap)
+    lo = least(0, top)
+    width = budget - lo + 1
+    if width <= 0:
+        return lo, {}
+    states: list[dict[int, list[int]]] = [{0: [1] + [0] * (width - 1)}]
+    for c in range(top, 0, -1):
+        x = sum(min(3 * a, c) for a in n1)
+        for p in range(len(states) - 1, -1, -1):
+            here = least(p, c)
+            shift = least(p, c - 1) - here
+            runs = []
+            l = 1
+            while True:
+                d = c * l * (2 * p + l) - l * x - here + least(p + l, c - 1)
+                if d < width:
+                    runs.append((l, d))
+                elif p + l >= npos:
+                    break
+                l += 1
+            if not runs and not shift:
+                continue
+            while runs and len(states) <= p + runs[-1][0]:
+                states.append({})
+            row = states[p]
+            for v in list(row):
+                cnt = row[v]
+                first = next(j for j, n in enumerate(cnt) if n)
+                for l, d in runs:
+                    if first + d >= width:
+                        continue
+                    dst = states[p + l].get(v + c * l)
+                    if dst is None:
+                        dst = states[p + l][v + c * l] = [0] * width
+                    run = slack(l)
+                    for j in range(first, width - d):
+                        n = cnt[j]
+                        if n:
+                            base = j + d
+                            for t in range(width - base):
+                                dst[base + t] += n * run[t]
+                if shift:
+                    if first + shift >= width:
+                        del row[v]
+                    else:
+                        cnt[shift:] = cnt[:width - shift]
+                        cnt[:shift] = [0] * shift
+    counts: dict[int, list[int]] = {}
+    for row in states:
+        for v, cnt in row.items():
+            acc = counts.get(v)
+            if acc is None:
+                counts[v] = cnt
+            else:
+                for j, n in enumerate(cnt):
+                    acc[j] += n
+    return lo, counts
+
+
+def list_basis_count(spec, qmax: int) -> TruncatedSeries:
+    """`enumerate_basis` on coefficient lists: per color-1 charge list n1,
+    the color-1 histogram as a list product of its runs' slack tables, the
+    color-2 counts from `_list_color2_counts`, and their pairing by a
+    double loop over the two histograms."""
+    tables: dict[int, list[int]] = {}
+
+    def slack(length: int) -> list[int]:
+        run = tables.get(length)
+        if run is None:
+            run = tables[length] = _run_slack(length, qmax)
+        return run
+
+    terms: dict[tuple[int, int, int], int] = {}
+    for r1 in _color1_dual_counts(spec, qmax):
+        n1 = conjugate(r1)
+        e1 = diag_energy_from_charges(n1)
+        lo, counts2 = _list_color2_counts(n1, qmax - e1, spec.color2_cap, slack)
+        room = qmax - e1 - lo
+        hist1 = [1] + [0] * room
+        for _charge, same in itertools.groupby(n1):
+            run = slack(len(tuple(same)))
+            hist1 = [
+                sum(hist1[i] * run[s - i] for i in range(s + 1))
+                for s in range(room + 1)
+            ]
+        y1, base = sum(n1), e1 + lo
+        for v, cnt in counts2.items():
+            for i, c1 in enumerate(hist1):
+                if c1:
+                    for j in range(room - i + 1):
+                        c2 = cnt[j]
+                        if c2:
+                            key = (base + i + j, y1, v)
+                            terms[key] = terms.get(key, 0) + c1 * c2
+    return TruncatedSeries(qmax, terms)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import brute_basis_series, per_type_basis_count, total_exponent
+from oracles import brute_basis_series, list_basis_count, per_type_basis_count, total_exponent
 from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.partitions import (
@@ -256,6 +256,19 @@ def test_enumerate_equals_per_type_count_verma():
         assert enumerate_basis(V, qmax) == per_type_basis_count(V, qmax), qmax
 
 
+# --- the packed count vs the list DP it replaced -----------------------------
+
+@pytest.mark.parametrize("spec", [S1, S2, S3, ModuleSpec.standard(4)], ids=["L1", "L2", "L3", "L4"])
+def test_packed_count_equals_list_count_standard(spec):
+    for qmax in range(13):
+        assert enumerate_basis(spec, qmax) == list_basis_count(spec, qmax), qmax
+
+
+def test_packed_count_equals_list_count_verma():
+    for qmax in [*range(13), 16]:
+        assert enumerate_basis(V, qmax) == list_basis_count(V, qmax), qmax
+
+
 # --- agreement with the fermionic sum ----------------------------------------
 
 @pytest.mark.parametrize("spec", [S1, S2, V])
@@ -271,8 +284,8 @@ def test_enumeration_equals_fermionic_sum_deep(spec):
 
 @pytest.mark.parametrize(
     "spec,qmax",
-    [(S1, 20), (S2, 16), (S3, 13), (V, 12), (S3, 20), (V, 16)],
-    ids=["L1-20", "L2-16", "L3-13", "V-12", "L3-20", "V-16"],
+    [(S1, 20), (S2, 16), (S3, 13), (V, 12), (S3, 20), (V, 16), (V, 20)],
+    ids=["L1-20", "L2-16", "L3-13", "V-12", "L3-20", "V-16", "V-20"],
 )
 def test_enumeration_equals_fermionic_sum_deeper(spec, qmax):
     # past the benchmark's basis points (L k=1,2,3 at qmax 16, 13, 11)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,6 +109,21 @@ def test_terms_are_read_only():
     assert s == _one(1)
     assert dict(s.terms) == {(0, 0, 0): 1}
     assert s.terms.get((0, 0, 0)) == 1 and s.terms.get((1, 0, 0)) is None
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_round_trip_keeps_value_and_read_only_terms(clone):
+    s = TruncatedSeries(3, {(0, 0, 0): 1, (2, 1, 1): -4, (3, 0, 2): 2 ** 70})
+    t = clone(s)
+    assert t == s and t.trunc == 3 and dict(t.terms) == dict(s.terms)
+    with pytest.raises(TypeError):
+        t.terms[(1, 0, 0)] = 5
+    with pytest.raises(AttributeError):
+        t.trunc = 7
 
 
 def test_keys_stored_as_given():
