@@ -42,11 +42,12 @@ every count, proved before packing (`_slot_width`).  `iter_basis_monomials`
 builds the monomials themselves, one charge type (n1, n2) at a time
 (`_charge_types`).  It walks the charge lists directly: beside each n1,
 `_color2_charge_lists` grows every color-2 list n2 whose least energy fits
-the budget, pruned by a floor of what the particles still to come can
-cost, and then each color's mode vectors are walked (`_mode_vectors`).
+the budget, and then each color's mode vectors are walked (`_mode_vectors`).
 The tests check the two against each other.  Both take their color-1 dual
-counts r1 from the one generator `_color1_dual_counts`, so that walk is
-checked against an exhaustive box and the fermionic sum, not between them.
+counts r1 from `_color1_dual_counts` and their color-2 floor, the exact
+least cost of the particles still to come, from `_color2_floor`, so these
+are checked against exhaustive boxes and the fermionic sum, not between
+the two; `is_valid` states the color-2 bound on its own.
 """
 
 from dataclasses import dataclass
@@ -96,16 +97,11 @@ def _color1_bounds(n1: Partition) -> list[int]:
     return out
 
 
-def _color2_cost(n1: Partition, p: int, c: int) -> int:
-    """f_p(c) = c(1 + 2p) - sum over a in n1 of min(3a, c): the least energy
-    of a color-2 particle of charge c at 0-based position p of a weakly
-    decreasing color-2 charge list beside the color-1 charges n1."""
-    return c * (1 + 2 * p) - sum(min(3 * a, c) for a in n1)
-
-
 def _color2_bounds(n1: Partition, n2: Partition) -> list[int]:
-    # n2 weakly decreases, so the p earlier charges each add min(n_p, n_q) = n_p
-    return [-_color2_cost(n1, p, c) for p, c in enumerate(n2)]
+    """-f_p(n2_p) per position: the validator's own statement of the bound,
+    reading nothing of `_color2_floor`.  n2 weakly decreases, so the p
+    earlier charges each add min(n_p, n_q) = n_p."""
+    return [sum(min(3 * a, c) for a in n1) - c * (1 + 2 * p) for p, c in enumerate(n2)]
 
 
 def is_valid(b: QPMonomial, spec: ModuleSpec) -> bool:
@@ -214,39 +210,59 @@ def _color1_dual_counts(spec: ModuleSpec, qmax: int) -> Iterator[Partition]:
     return grow(0)
 
 
+def _color2_floor(n1: Partition) -> tuple[int, list[int], Callable[[int, int], int]]:
+    """The color-2 cost floor beside the color-1 charges n1: (c*, X, least).
+
+    The p-th particle (0-based) of charge c costs at least f_p(c) =
+    c(1 + 2p) - X(c), X(c) = sum over a in n1 of min(3a, c), the negated
+    bound.  X is returned for c <= c* = 3 max(n1); past c* it stays 3|n1|
+    and f_p grows with c.  X(c) <= c * len(n1), so f_p(c) >= 0 once
+    1 + 2p >= len(n1): only the first len(n1) // 2 positions can cost < 0.
+    `least(p, c)`, the exact least cost of weakly decreasing particles at
+    positions >= p with charges <= c (none at all costs 0), is thus 0 from
+    p = len(n1) // 2 on, least(p, c*) past c*, and else a table entry:
+    min(least(p, c - 1), f_p(c) + least(p + 1, c)), as the particle at p,
+    if any, has charge c or less.  It is exact, not only a lower bound, as
+    `_color2_counts` needs: it completes partial vectors at their floor.
+    """
+    npos = len(n1) // 2  # positions where a particle can cost < 0
+    cstar = 3 * n1[0] if n1 else 0
+    xs = [sum(min(3 * a, c) for a in n1) for c in range(cstar + 1)]
+    table = [[0] * (cstar + 1) for _ in range(npos + 1)]
+    for p in range(npos - 1, -1, -1):
+        row, after = table[p], table[p + 1]
+        for c in range(1, cstar + 1):
+            row[c] = min(row[c - 1], c * (1 + 2 * p) - xs[c] + after[c])
+
+    def least(p: int, c: int) -> int:
+        return table[p][min(c, cstar)] if p < npos else 0
+
+    return cstar, xs, least
+
+
 def _color2_charge_lists(n1: Partition, budget: int, cap: int | None) -> Iterator[tuple[Partition, int]]:
     """Every color-2 charge list n2, charges <= cap (None: uncapped), whose
     least energy beside the color-1 charges n1, e2_min = sum over p of
     f_p(n2_p), is <= budget; yielded as (n2, e2_min).
 
     n2 grows weakly decreasing, each prefix before its extensions.  f_p(c)
-    can be negative, so a prefix over budget may still have extensions
-    within it; `floor[p]` bounds what positions >= p can still subtract.
-    Only the first len(n1) // 2 positions can cost < 0 (`_color2_counts`
-    shows why), and past c* = 3 max(n1) f_p grows with c, so floor[p] is
-    the sum over positions p <= p' < len(n1) // 2 of min(0, least f_p'(c)
-    over c <= c*).  A prefix takes charge c next only if its cost plus
-    f_p(c) plus floor[p + 1] fits the budget; past c* a charge that does
-    not fit ends the position's charges.
+    can be negative, so a prefix takes charge c at position p only if its
+    cost plus f_p(c) plus the floor `least(p + 1, c)` of `_color2_floor`
+    fits the budget.  Past c*, f_p grows with c and least stays put, so
+    there a charge that does not fit ends the position's charges.
     """
-    npos = len(n1) // 2
-    cstar = 3 * n1[0] if n1 else 0
-    floor = [0] * (npos + 1)
-    for p in range(npos - 1, -1, -1):
-        least = min(_color2_cost(n1, p, c) for c in range(1, cstar + 1))
-        floor[p] = floor[p + 1] + min(0, least)
+    cstar, xs, least = _color2_floor(n1)
     n2: list[int] = []
 
     def grow(acc: int) -> Iterator[tuple[Partition, int]]:
         if acc <= budget:
             yield tuple(n2), acc
         p = len(n2)
-        after = floor[min(p + 1, npos)]
         top = n2[-1] if n2 else cap
         c = 1
         while top is None or c <= top:
-            cost = acc + _color2_cost(n1, p, c)
-            if cost + after <= budget:
+            cost = acc + c * (1 + 2 * p) - xs[min(c, cstar)]
+            if cost + least(p + 1, c) <= budget:
                 n2.append(c)
                 yield from grow(cost)
                 n2.pop()
@@ -355,31 +371,25 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     total charge v: slot j holds those of energy lo + j, for
     lo + j <= budget.  `slack(l)` is the slack table T_l packed alike.
 
-    The p-th particle of charge c costs at least
-    f_p(c) = c(1 + 2p) - X(c), X(c) = sum over a in n1 of min(3a, c),
-    the negated bound.  A DP runs over charge values c from the largest to
-    1 and appends a run of l >= 0 particles of charge c at positions
+    The p-th particle of charge c costs at least f_p(c) = c(1 + 2p) - X(c),
+    as in `_color2_floor`.  A DP runs over charge values c from the largest
+    to 1 and appends a run of l >= 0 particles of charge c at positions
     p..p+l-1: greedy cost f_p(c) + ... + f_{p+l-1}(c) plus a slack counted
     by T_l (the gap rule binds inside the run).  Its states are (particles
     so far p, y2 degree v), each holding its energies packed, so a run is
     one multiply by T_l, a shift and a mask.
 
     Energies can be negative, so pruning needs a floor on what the
-    particles still to come can cost.  X(c) <= c * len(n1), so f_p(c) > 0
-    for every c once 1 + 2p > len(n1), and f_p(c) >= 0 once
-    1 + 2p >= len(n1): only the first len(n1) // 2 positions can cost less
-    than 0.  `least(p, c)`, the exact least cost of particles at positions
-    >= p with charges <= c (none at all allowed), is therefore 0 from
-    p = len(n1) // 2 on and a small table before it.  X(c) = 3|n1| is
-    constant for c >= c* = 3 max(n1), where f_p grows with c, so least(p, c)
-    = least(p, c*) there.  A state is kept as its energy plus least(p, c)
-    for the charges c still to come: a floor of every completion's final
-    energy.  That value never falls from one charge value to the next,
-    starts at lo = least(0, top), and ends as the energy itself, so a state
-    above `budget` has no completion within it and every state lies in
-    [lo, budget].  The first particle of a charge c > c* costs c - 3|n1|
-    and the rest at least least(1, c*), so no charge above
-    max(c*, budget + 3|n1| - least(1, c*)) fits, nor above the cap.
+    particles still to come can cost: `least(p, c)` of `_color2_floor`.
+    A run reaching past the first len(n1) // 2 positions only adds cost.
+    A state is kept as its energy plus least(p, c) for the charges c still
+    to come: a floor of every completion's final energy.  That value never
+    falls from one charge value to the next, starts at lo = least(0, top),
+    and ends as the energy itself, so a state above `budget` has no
+    completion within it and every state lies in [lo, budget].  The first
+    particle of a charge c > c* costs c - X(c*) and the rest at least
+    least(1, c*), so no charge above max(c*, budget + X(c*) - least(1, c*))
+    fits, nor above the cap.
 
     The packing is exact because no slot at or below `budget` can reach
     2^width, `width` being `_slot_width(qmax)` from `enumerate_basis`.
@@ -399,18 +409,8 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     away.
     """
     npos = len(n1) // 2  # positions where a particle can cost < 0
-    cstar = 3 * n1[0] if n1 else 0
-    xs = [sum(min(3 * a, c) for a in n1) for c in range(cstar + 1)]  # X(c), c <= c*
-    table = [[0] * (cstar + 1) for _ in range(npos + 1)]
-    for p in range(npos - 1, -1, -1):
-        row, after = table[p], table[p + 1]
-        for c in range(1, cstar + 1):
-            row[c] = min(row[c - 1], c * (1 + 2 * p) - xs[c] + after[c])
-
-    def least(p: int, c: int) -> int:
-        return table[p][min(c, cstar)] if p < npos else 0
-
-    top = max(cstar, budget + 3 * sum(n1) - least(1, cstar))
+    cstar, xs, least = _color2_floor(n1)
+    top = max(cstar, budget + xs[cstar] - least(1, cstar))
     if cap is not None:
         top = min(top, cap)
     lo = least(0, top)

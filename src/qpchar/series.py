@@ -48,11 +48,15 @@ def validate_trunc(trunc) -> None:
 
 
 def _check_keys(keys, trunc: int) -> None:
-    """Raise TypeError unless each key is a triple of ints (bools refused),
-    ValueError for a negative exponent, and OutOfTruncation for a q-degree
-    beyond `trunc`."""
+    """Raise, naming the key, ValueError for a key of other than three
+    entries or with a negative exponent, TypeError for one that is not
+    iterable or has entries other than ints (bools refused), and
+    OutOfTruncation for a q-degree beyond `trunc`."""
     for key in keys:
-        q, u, v = key
+        try:
+            q, u, v = key
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"key {key!r} is not a triple (q, y1, y2)") from None
         if type(q) is not int or type(u) is not int or type(v) is not int:
             raise TypeError(f"exponents in key {key!r} must be ints")
         if q < 0 or u < 0 or v < 0:
@@ -96,8 +100,9 @@ class TruncatedSeries:
     def coeff(self, key: tuple[int, int, int]) -> int:
         """Coefficient at `key`, 0 if absent.  The key is checked as the
         constructor checks keys: OutOfTruncation when the q-degree exceeds
-        the truncation order (the value is unknown there), TypeError or
-        ValueError when it is not a triple of ints >= 0."""
+        the truncation order (the value is unknown there), ValueError when
+        it has other than three entries or one below 0, and TypeError when
+        it is not iterable or an entry is not an int; each names the key."""
         _check_keys((key,), self.trunc)
         return self.terms.get(key, 0)
 

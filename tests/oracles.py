@@ -8,7 +8,11 @@ scan within that validator's bounds) and the charge-list walk of
 `qp_enum` (`_color1_dual_counts`, `_color2_charge_lists`), which
 `dual_charge_types` turns into the index set behind `pair_sum_character`,
 the pair-by-pair form of the fermionic sum that the block recursion
-replaced.
+replaced.  That walk prunes color-2 charges by the exact floor
+`_color2_floor`, which `enumerate_basis` reads too, so the oracle shares
+that floor with the count; `weak_floor_charge_lists` is the walk as it
+was before, pruned by a weaker floor of its own, with the color-2 cost
+restated, and the tests require both walks to yield the same sequence.
 `total_exponent`, the q-exponent of one term of that sum, lives here: only
 the oracles and the tests evaluate the sum term by term.
 `brute_pbw_multisets` is the leaf-by-leaf PBW multiset recursion that the
@@ -163,6 +167,49 @@ def brute_dual_charge_types(level: int | None, qmax: int) -> set[tuple]:
             if square1 + square2 - sum(map(mul, r1, blocks)) <= qmax:
                 out.add((r1, r2))
     return out
+
+
+def weak_floor_charge_lists(n1, budget: int, cap):
+    """`qp_enum._color2_charge_lists` as it was before it pruned by the
+    exact floor of `_color2_floor`: the same walk and yields, pruned by a
+    weaker floor of its own, with f_p(c) = c(1 + 2p) - sum over a in n1 of
+    min(3a, c) restated here.
+
+    Only the first len(n1) // 2 positions can cost < 0, and past
+    c* = 3 max(n1) f_p grows with c, so floor[p], the sum over positions
+    p <= p' < len(n1) // 2 of min(0, least f_p'(c) over c <= c*), bounds
+    what positions >= p can still subtract.  A prefix takes charge c next
+    only if its cost plus f_p(c) plus floor[p + 1] fits the budget; past c*
+    a charge that does not fit ends the position's charges.
+    """
+    def cost(p: int, c: int) -> int:
+        return c * (1 + 2 * p) - sum(min(3 * a, c) for a in n1)
+
+    npos = len(n1) // 2
+    cstar = 3 * n1[0] if n1 else 0
+    floor = [0] * (npos + 1)
+    for p in range(npos - 1, -1, -1):
+        floor[p] = floor[p + 1] + min(0, min(cost(p, c) for c in range(1, cstar + 1)))
+    n2: list[int] = []
+
+    def grow(acc: int):
+        if acc <= budget:
+            yield tuple(n2), acc
+        p = len(n2)
+        after = floor[min(p + 1, npos)]
+        top = n2[-1] if n2 else cap
+        c = 1
+        while top is None or c <= top:
+            total = acc + cost(p, c)
+            if total + after <= budget:
+                n2.append(c)
+                yield from grow(total)
+                n2.pop()
+            elif c >= cstar:
+                break
+            c += 1
+
+    return grow(0)
 
 
 def dual_charge_types(spec, qmax: int) -> list[tuple]:

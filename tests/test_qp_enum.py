@@ -3,7 +3,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import brute_basis_series, list_basis_count, per_type_basis_count, total_exponent
+from oracles import (
+    _partitions_in_box,
+    brute_basis_series,
+    list_basis_count,
+    per_type_basis_count,
+    total_exponent,
+    weak_floor_charge_lists,
+)
 from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.partitions import (
@@ -14,6 +21,7 @@ from qpchar.partitions import (
 from qpchar.qp_enum import (
     QPMonomial,
     _color2_charge_lists,
+    _color2_floor,
     _run_slack,
     enumerate_basis,
     is_valid,
@@ -179,14 +187,45 @@ def test_spot_value_q2_y2sq():
 @pytest.mark.parametrize("budget,cap", [(-4, None), (0, None), (3, 3), (6, None), (6, 6)])
 def test_color2_charge_lists_yield_least_energy(n1, budget, cap):
     # each yielded e2_min is the least color-2 energy of its charge type,
-    # within the budget, and each list appears once, under the cap
+    # within the budget, and each list appears once, under the cap; the
+    # sequence is the one the weak-floor walk it replaced yields
     seen = set()
-    for n2, e2_min in _color2_charge_lists(n1, budget, cap):
+    got = list(_color2_charge_lists(n1, budget, cap))
+    for n2, e2_min in got:
         assert e2_min == diag_energy_from_charges(n2) - mixed_energy_from_charges(n1, n2)
         assert e2_min <= budget
         assert cap is None or all(c <= cap for c in n2)
         assert n2 not in seen
         seen.add(n2)
+    assert got == list(weak_floor_charge_lists(n1, budget, cap))
+
+
+def test_color2_floor_is_least_cost_of_later_particles():
+    # least(p, c) is the exact least of sum f_{p+i}(c_i) over weakly
+    # decreasing c_0 >= c_1 >= ... with c_0 <= c, the empty list costing 0;
+    # f is restated here.  The box search takes lists up to position
+    # len(n1): past (len(n1) - 1) / 2 every f is >= 0, as X(c) <= c len(n1)
+    for n1 in _partitions_in_box(5, 3):
+        cstar, _xs, least = _color2_floor(n1)
+        cmax = cstar + 2
+        f = [[c * (1 + 2 * q) - sum(min(3 * a, c) for a in n1) for c in range(cmax + 1)]
+             for q in range(len(n1) + 1)]
+        for p in range(len(n1) // 2 + 2):
+            # best[c]: the least cost of the empty list and the lists led by c
+            best = [0] * (cmax + 1)
+
+            def walk(q: int, top: int, acc: int, lead: int) -> None:
+                if q > len(n1):
+                    return
+                for c in range(1, top + 1):
+                    cost = acc + f[q][c]
+                    head = lead or c
+                    best[head] = min(best[head], cost)
+                    walk(q + 1, c, cost, head)
+
+            walk(p, cmax, 0, 0)
+            for c in range(cmax + 1):
+                assert least(p, c) == min(best[:c + 1]), (n1, p, c)
 
 
 def test_color1_mode_vectors_built_once_per_budget(monkeypatch):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -270,14 +271,17 @@ def test_coeff_beyond_truncation_raises():
         ((True, 1, 0), TypeError),
         ((1, 1, False), TypeError),
         ((1, 1), ValueError),
+        ((1, 1, 1, 1), ValueError),
+        (None, TypeError),
     ],
 )
 def test_coeff_checks_key_as_constructor_does(key, error):
-    # the stored term at (1, 1, 0) must not answer for a float or bool key
+    # the stored term at (1, 1, 0) must not answer for a float or bool key;
+    # every refusal names the key
     s = TruncatedSeries(2, {(1, 1, 0): 7})
-    with pytest.raises(error):
+    with pytest.raises(error, match=re.escape(repr(key))):
         s.coeff(key)
-    with pytest.raises(error):
+    with pytest.raises(error, match=re.escape(repr(key))):
         TruncatedSeries(2, {key: 1})
 
 
