@@ -136,22 +136,24 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     the total of its (y1, y2) degree.
 
     Every nonzero block raises y1 + y2, so taking states in increasing
-    y1 + y2 closes each one after everything that feeds it.  Each product
-    prod_d 1/(q)_d is expanded once per sorted multiset of differences, by
-    a list sweep c[j] += c[j-i] per factor 1/(1-q^i), and looked up by the
-    unsorted differences after that.
+    y1 + y2 closes each one after everything that feeds it.  The factors
+    1/(q)_d for d <= qmax are expanded once, by one list sweep in which
+    c[j] += c[j-d] takes 1/(q)_{d-1} to 1/(q)_d.  A difference d > qmax
+    reads 1/(q)_qmax, which agrees with 1/(q)_d through q^qmax.  Each
+    product prod_d 1/(q)_d is multiplied out of that table the first time
+    its differences occur and looked up by them after that.
 
-    States, totals and finished products are held packed: the coefficients
-    through q^qmax in one int, `width` bits per power of q (Kronecker
-    substitution).  A step is then one multiply, a shift by the exponent
-    share and a mask to the truncation, and the lowest power a state holds
-    is its lowest set bit.  The width is `_slot_width(qmax)`, fixed before
-    any packing.  The packing is exact because no slot through q^qmax can
-    reach 2^width, and every count is >= 0, so such a slot holds its true
-    value:
-    * a product prod_d 1/(q)_d has at most four factors, so its
-      coefficients are at most those of prod_{m>=1} (1-q^m)^-4, below
-      those of the six-root product;
+    States, totals, the factors and their products are held packed: the
+    coefficients through q^qmax in one int, `width` bits per power of q
+    (Kronecker substitution).  A step is then one multiply, a shift by the
+    exponent share and a mask to the truncation, and the lowest power a
+    state holds is its lowest set bit.  The width is `_slot_width(qmax)`,
+    fixed before any packing.  The packing is exact because no slot through
+    q^qmax can reach 2^width, and every count is >= 0, so such a slot holds
+    its true value:
+    * a product prod_d 1/(q)_d, finished or partial, has at most four
+      factors, so its coefficients are at most those of
+      prod_{m>=1} (1-q^m)^-4, below those of the six-root product;
     * a step's coefficient at q^j is part of its target state's, since a
       state only sums non-negative series.  Closing a state multiplies it
       by a series with constant term 1 and non-negative coefficients and
@@ -167,25 +169,22 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     validate_trunc(qmax)
     width = _slot_width(qmax)
     mask = (1 << width * (qmax + 1)) - 1
-    by_multiset: dict[tuple[int, ...], int] = {}
+    # inv[d] is 1/(q)_d through q^qmax, packed
+    coeffs = [1] + [0] * qmax
+    inv = [1]
+    for d in range(1, qmax + 1):
+        for j in range(d, qmax + 1):
+            coeffs[j] += coeffs[j - d]
+        inv.append(sum(c << j * width for j, c in enumerate(coeffs)))
     by_diffs: dict[tuple[int, ...], int] = {}
 
     def product(diffs: tuple[int, ...]) -> int:
         # prod_d 1/(q)_d through q^qmax, packed
         poch = by_diffs.get(diffs)
         if poch is None:
-            key = tuple(sorted(d for d in diffs if d))
-            poch = by_multiset.get(key)
-            if poch is None:
-                coeffs = [1] + [0] * qmax
-                for d in key:
-                    for i in range(1, d + 1):
-                        for j in range(i, qmax + 1):
-                            coeffs[j] += coeffs[j - i]
-                poch = 0
-                for c in reversed(coeffs):
-                    poch = poch << width | c
-                by_multiset[key] = poch
+            poch = 1
+            for d in diffs:
+                poch = poch * inv[min(d, qmax)] & mask
             by_diffs[diffs] = poch
         return poch
 

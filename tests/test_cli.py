@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +255,30 @@ def test_mismatch_reports_first_key_and_both_coefficients(capsys):
     # lexicographically first difference is (1, 0, 1): 0 on the left
     assert "q^1 y1^0 y2^1" in out
     assert "left=0" in out and "right=1" in out
+
+
+# --- python -m qpchar -------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "qpchar", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_runs_verify():
+    proc = run_module("verify", "--check", "basis", "--space", "L",
+                      "--level", "1", "--qmax", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("basis[level-1 standard module]: ok")
+
+
+def test_module_entry_point_exits_two_on_usage_error():
+    proc = run_module("char", "--space", "N", "--qmax", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("qpchar: error:")
