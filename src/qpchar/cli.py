@@ -4,7 +4,7 @@ Two commands: ``char`` emits one character's coefficient table (csv or json,
 rows sorted lexicographically by q, y1, y2 exponents, coefficients printed
 as decimal strings so no reader is forced through a float); ``verify`` runs
 one of the cross-method checks and exits 0 on agreement, 1 on the first
-mismatch, 2 on usage errors.
+mismatch, 2 on usage errors; either exits 141 if stdout's reader has gone.
 
 A command line the parser accepts but the command cannot run (a flag the
 command does not take, a --qmax outside [0, ceiling], a --trials / --seed
@@ -251,10 +251,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check(ns)
-        return _run_char(ns) if ns.command == "char" else _run_verify(ns)
+        code = _run_char(ns) if ns.command == "char" else _run_verify(ns)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"qpchar: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone (`qpchar char ... | head`): fd 1 goes to devnull so
+        # the flush at exit cannot fail again; 141 = 128 + SIGPIPE, as a shell reports
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

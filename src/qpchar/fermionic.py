@@ -25,6 +25,7 @@ len(r2) <= 3k, so the level-k caps become "at most k blocks".
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .partitions import _slot_width
 from .series import TruncatedSeries, validate_trunc
@@ -80,45 +81,26 @@ def validate_spec(spec) -> None:
         raise TypeError(f"spec must be a ModuleSpec, got {spec!r}")
 
 
-def _next_blocks(a: int | None, pz: int | None, budget: int):
-    """Yield (a2, x, y, z, e) for every nonzero block that may follow a block
-    with color-1 count a and last color-2 count pz (both None before the
-    first block: no bound), where e = a2^2 + x^2 + y^2 + z^2 - a2(x+y+z) is
-    the block's exponent share and e <= budget.
+def _blocks(qmax: int) -> list[list[tuple[int, int, int, int]]]:
+    """Row a lists every nonzero block (e, x, y, z) with color-1 count a,
+    color-2 counts x >= y >= z and exponent share
+    e = a^2 + x^2 + y^2 + z^2 - a(x+y+z) <= qmax, sorted by e.
 
-    With f(t) = t^2 - a2*t the share is a2^2 + f(x) + f(y) + f(z).  f falls
-    to its minimum at t = a2 // 2 and rises after it, so the entries still
-    to choose, each at most the last one chosen, cost at least f at the
-    smaller of that entry and a2 // 2.  Every prefix is pruned with that
-    bound, which also ends the unbounded loops.
+    The share is a^2/4 + (x - a/2)^2 + (y - a/2)^2 + (z - a/2)^2, so it is
+    at least a^2/4 and at least (x - a/2)^2: every such block has
+    a <= 2 sqrt(qmax) and x <= a/2 + sqrt(qmax), inside the box filtered.
     """
-    a2 = 0
-    while a is None or a2 <= a:
-        h = a2 // 2
-        fh = h * h - a2 * h
-        room = budget - a2 * a2  # what f(x) + f(y) + f(z) may add up to
-        if 3 * fh > room:
-            break  # the cheapest block, ceil(a2^2 / 4), grows with a2
-        x = 0 if a2 else 1
-        while pz is None or x <= pz:
-            fx = x * x - a2 * x
-            t = min(x, h)
-            if fx + 2 * (t * t - a2 * t) > room:
-                if x >= h:
-                    break
-                x += 1
-                continue
+    rows = []
+    for a in range(isqrt(4 * qmax) + 1):
+        row = []
+        for x in range(a // 2 + isqrt(qmax) + 2):
             for y in range(x + 1):
-                fy = y * y - a2 * y
-                t = min(y, h)
-                if fx + fy + t * t - a2 * t > room:
-                    continue
                 for z in range(y + 1):
-                    e = a2 * a2 + fx + fy + z * z - a2 * z
-                    if e <= budget:
-                        yield a2, x, y, z, e
-            x += 1
-        a2 += 1
+                    e = a * a + x * x + y * y + z * z - a * (x + y + z)
+                    if e <= qmax and (a or x):
+                        row.append((e, x, y, z))
+        rows.append(sorted(row))
+    return rows
 
 
 def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
@@ -133,7 +115,8 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     q^(its exponent share) and by 1/(q)_d for the new differences
     a - a', z - x, x - y, y - z'.  Closing a state multiplies by
     1/(q)_a (q)_z, the last differences taken against zero, and adds it to
-    the total of its (y1, y2) degree.
+    the total of its (y1, y2) degree.  The blocks come from `_blocks`, sorted
+    by share, so a state stops at the first one over qmax less its lowest power.
 
     Every nonzero block raises y1 + y2, so taking states in increasing
     y1 + y2 closes each one after everything that feeds it.  The factors
@@ -188,6 +171,7 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
             by_diffs[diffs] = poch
         return poch
 
+    rows = _blocks(qmax)
     # states keyed by y1 + y2 degree; the start state has no block yet
     layers = {0: {(None, None, 0, 0, spec.level): 1}}
     totals: dict[tuple[int, int], int] = {}
@@ -199,16 +183,21 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
             if left == 0:
                 continue
             nleft = None if left is None else left - 1
-            for a2, x, y, z, e in _next_blocks(a, pz, qmax - lo):
-                if a is None:
-                    diffs = (x - y, y - z)
-                else:
-                    diffs = (a - a2, pz - x, x - y, y - z)
-                nu, nv = u + a2, v + x + y + z
-                layer = layers.setdefault(nu + nv, {})
-                key = (a2, z, nu, nv, nleft)
-                step = (coeffs * product(diffs) << e * width) & mask
-                layer[key] = layer.get(key, 0) + step
+            for a2, row in enumerate(rows if a is None else rows[:a + 1]):
+                for e, x, y, z in row:
+                    if e > qmax - lo:
+                        break
+                    if a is None:
+                        diffs = (x - y, y - z)
+                    elif x > pz:
+                        continue
+                    else:
+                        diffs = (a - a2, pz - x, x - y, y - z)
+                    nu, nv = u + a2, v + x + y + z
+                    layer = layers.setdefault(nu + nv, {})
+                    key = (a2, z, nu, nv, nleft)
+                    step = (coeffs * product(diffs) << e * width) & mask
+                    layer[key] = layer.get(key, 0) + step
     slot = (1 << width) - 1
     terms = {}
     for (u, v), total in totals.items():

@@ -115,6 +115,8 @@ class TruncatedSeries:
         """The lexicographically first key where the two series differ, with
         this series' and the other's coefficient there; None if equal."""
         self._check_compatible(other)
+        if self.terms == other.terms:
+            return None
         for key in sorted(self.terms.keys() | other.terms.keys()):
             ca, cb = self.terms.get(key, 0), other.terms.get(key, 0)
             if ca != cb:

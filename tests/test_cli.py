@@ -282,3 +282,26 @@ def test_module_entry_point_exits_two_on_usage_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("qpchar: error:")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [
+    ("char", "--space", "L", "--level", "1", "--qmax", "1"),
+    ("verify", "--check", "identity", "--qmax", "4"),
+])
+def test_module_entry_point_exits_141_when_reader_is_gone(args, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes its first byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpchar", *args],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

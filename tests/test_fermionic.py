@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from oracles import (
@@ -9,7 +11,7 @@ from oracles import (
     pair_sum_character,
     total_exponent,
 )
-from qpchar.fermionic import ModuleSpec, character_fermionic
+from qpchar.fermionic import ModuleSpec, _blocks, character_fermionic
 from qpchar.partitions import validate_partition
 
 S1 = ModuleSpec.standard(1)
@@ -166,6 +168,25 @@ def _reference_character(spec, qmax):
         for key, c in term.items():
             total[key] = total.get(key, 0) + c
     return {key: c for key, c in total.items() if c}
+
+
+@pytest.mark.parametrize("qmax", range(13))
+def test_block_table_matches_filter_over_wider_box(qmax):
+    # every nonzero block with share <= qmax, found in a box twice as wide
+    # as the one `_blocks` filters, grouped by color-1 count a
+    wide = {}
+    for a in range(2 * (isqrt(4 * qmax) + 1)):
+        for x in range(2 * (a // 2 + isqrt(qmax) + 2)):
+            for y in range(x + 1):
+                for z in range(y + 1):
+                    e = a * a + x * x + y * y + z * z - a * (x + y + z)
+                    if e <= qmax and (a or x):
+                        wide.setdefault(a, []).append((e, x, y, z))
+    rows = _blocks(qmax)
+    assert {a for a, row in enumerate(rows) if row} == set(wide)
+    for a, row in enumerate(rows):
+        assert sorted(row) == sorted(wide.get(a, [])), a
+        assert [b[0] for b in row] == sorted(b[0] for b in row), a
 
 
 @pytest.mark.parametrize("spec", [S1, S2, V])
