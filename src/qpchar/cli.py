@@ -246,12 +246,13 @@ def _run_verify(ns: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed --help or its own error
-        return int(exc.code or 0)
-    try:
-        _check(ns)
-        code = _run_char(ns) if ns.command == "char" else _run_verify(ns)
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed --help or its own error
+            code = int(exc.code or 0)
+        else:
+            _check(ns)
+            code = _run_char(ns) if ns.command == "char" else _run_verify(ns)
         sys.stdout.flush()
         return code
     except _UsageError as exc:

@@ -42,7 +42,8 @@ every count, proved before packing (`_slot_width`).  `iter_basis_monomials`
 builds the monomials themselves, one charge type (n1, n2) at a time
 (`_charge_types`).  It walks the charge lists directly: beside each n1,
 `_color2_charge_lists` grows every color-2 list n2 whose least energy fits
-the budget, and then each color's mode vectors are walked (`_mode_vectors`).
+the budget, and then each color's mode vectors are walked (`_mode_vectors`),
+the color-1 vectors once per n1 at the budget of its cheapest n2.
 The tests check the two against each other.  Both take their color-1 dual
 counts r1 from `_color1_dual_counts` and their color-2 floor, the exact
 least cost of the particles still to come, from `_color2_floor`, so these
@@ -51,6 +52,7 @@ the two; `is_valid` states the color-2 bound on its own.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from typing import Callable, Iterator
 
@@ -91,10 +93,9 @@ class QPMonomial:
 
 
 def _color1_bounds(n1: Partition) -> list[int]:
-    out = []
-    for p, np in enumerate(n1):
-        out.append(-np - 2 * sum(min(np, n1[q]) for q in range(p)))
-    return out
+    """The stated bound of each color-1 mode.  n1 weakly decreases, so the
+    p earlier charges each add min(n_p, n_q) = n_p."""
+    return [-c * (1 + 2 * p) for p, c in enumerate(n1)]
 
 
 def _color2_bounds(n1: Partition, n2: Partition) -> list[int]:
@@ -134,24 +135,16 @@ def _mode_vectors(charges: Partition, bounds: list[int], max_energy: int) -> Mod
     energy.
 
     Modes are chosen left to right, each starting at its effective upper
-    bound (the stated bound, or the gap rule under the previous equal charge)
-    and stepping down while the greedy completion -- all later modes at their
-    own effective bounds -- still fits the budget.  Lowering a mode only
-    lowers later effective bounds, so the break is sound.
-
-    Both colors' bounds fall by 2n from one position to the next inside a
-    run of charge n, so after mode m at a position with `rest` later
-    positions in its run, the greedy completion puts those at m - 2n,
-    m - 4n, ... and every later run at its own bounds: the floor is
-    -rest*m + n*rest*(rest+1) plus a constant per run, found in O(1).
+    bound (the stated bound, or the gap rule under the previous equal
+    charge) and stepping down while the modes so far, with every later
+    mode at its stated bound, still fit the budget.  That is sound: every
+    later mode is at most its stated bound, and the condition only grows
+    as the mode falls.
     """
     r = len(charges)
-    tail = [0] * (r + 1)  # tail[j]: greedy energy of positions j.. at their bounds
+    tail = [0] * (r + 1)  # tail[j]: energy of positions j.. at their stated bounds
     for j in range(r - 1, -1, -1):
         tail[j] = tail[j + 1] - bounds[j]
-    run_end = [r] * r  # one past the last position of j's run
-    for j in range(r - 2, -1, -1):
-        run_end[j] = run_end[j + 1] if charges[j + 1] == charges[j] else j + 1
     out: ModeVectors = []
     modes: list[int] = []
 
@@ -160,14 +153,8 @@ def _mode_vectors(charges: Partition, bounds: list[int], max_energy: int) -> Mod
             out.append((acc, tuple(modes)))
             return
         n = charges[p]
-        if p > 0 and n == charges[p - 1]:
-            u = min(bounds[p], prev - 2 * n)
-        else:
-            u = bounds[p]
-        rest = run_end[p] - p - 1
-        fixed = n * rest * (rest + 1) + tail[run_end[p]]
-        m = u
-        while acc - m - rest * m + fixed <= max_energy:
+        m = min(bounds[p], prev - 2 * n) if p > 0 and n == charges[p - 1] else bounds[p]
+        while acc - m + tail[p + 1] <= max_energy:
             modes.append(m)
             rec(p + 1, m, acc - m)
             modes.pop()
@@ -300,30 +287,32 @@ def _charge_types(spec: ModuleSpec, qmax: int) -> Iterator[tuple[Partition, Part
     never its modes), so the charge type's monomials are exactly the pairs
     of a color-1 and a color-2 vector with e1 + e2 <= qmax.  Color-2
     energies can be negative, so each color's own budget is qmax minus the
-    other color's minimal energy.  The color-1 vectors thus depend only on
-    n1 and e2_min, and are built once per e2_min beside each n1; charge
-    types that share them yield the same list, which callers only read.
+    other color's least energy.  The color-1 vectors are built once per
+    n1, at the budget of the least e2_min beside it; those of any other n2
+    are a prefix of that list, as it is sorted by energy, so every charge
+    type of n1 yields the same list, which callers only read and cut off
+    at their own budget.
     """
     for r1 in _color1_dual_counts(spec, qmax):
         n1 = conjugate(r1)
         e1_min = diag_energy_from_charges(n1)
-        bounds1 = _color1_bounds(n1)
-        by_budget: dict[int, ModeVectors] = {}
-        for n2, e2_min in _color2_charge_lists(n1, qmax - e1_min, spec.color2_cap):
-            vecs1 = by_budget.get(e2_min)
-            if vecs1 is None:
-                vecs1 = by_budget[e2_min] = _mode_vectors(n1, bounds1, qmax - e2_min)
+        lists = list(_color2_charge_lists(n1, qmax - e1_min, spec.color2_cap))
+        vecs1 = _mode_vectors(n1, _color1_bounds(n1), qmax - min(e2_min for _n2, e2_min in lists))
+        for n2, _e2_min in lists:
             vecs2 = _mode_vectors(n2, _color2_bounds(n1, n2), qmax - e1_min)
             yield n1, n2, vecs1, vecs2
 
 
 def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
     for n1, n2, vecs1, vecs2 in _charge_types(spec, qmax):
+        e2_min = vecs2[0][0]
         for e1, m1 in vecs1:
             budget = qmax - e1
+            if e2_min > budget:
+                break  # both lists are sorted by energy
             for e2, m2 in vecs2:
                 if e2 > budget:
-                    break  # vecs2 is sorted by energy
+                    break
                 yield QPMonomial(
                     color1=tuple(zip(n1, m1)),
                     color2=tuple(zip(n2, m2)),
@@ -371,6 +360,15 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     total charge v: slot j holds those of energy lo + j, for
     lo + j <= budget.  `slack(l)` is the slack table T_l packed alike.
 
+    Callers pass an n1 that `_color1_dual_counts` admits, with `budget` =
+    qmax - e1, e1 its greedy color-1 energy.  Then lo <= budget and counts
+    is never empty.  The walk admits r1 while its floor, the sum over r1 of
+    ceil(a^2/4), is <= qmax, and that floor is e1 + least(0, c*): both are
+    the least energy of a monomial with color-1 charges n1, once as the
+    least exponent of the fermionic terms at r1 and once as e1 plus the
+    least color-2 energy beside n1.  The cap is 3k >= c*, so lo =
+    least(0, c*), and the color-2 list of least energy fits the budget.
+
     The p-th particle of charge c costs at least f_p(c) = c(1 + 2p) - X(c),
     as in `_color2_floor`.  A DP runs over charge values c from the largest
     to 1 and appends a run of l >= 0 particles of charge c at positions
@@ -399,14 +397,14 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     modes) whose floor is lo + j.  Complete each by the cheapest particles
     still to come, at their bounds, and put the color-1 particles of n1 at
     theirs (greedy energy e1, with e1 + budget = qmax).  That gives a
-    basis monomial of energy e1 + lo + j <= qmax, and the partial vector is read back from it as the particles of the
-    charges already placed.  The map is injective, so the slot is at most
-    the number of basis monomials at that energy.  That number is at most
-    the cap-free one, the six-root product's coefficient at y1 = y2 = 1,
-    and so at most `_coefficient_bound(qmax)`.  The packed T_l count
-    partitions into at most l parts, which is smaller still.  Slots past
-    `budget` may overflow, but a carry moves only upward and is masked
-    away.
+    basis monomial of energy e1 + lo + j <= qmax, and the partial vector
+    is read back from it as the particles of the charges already placed.
+    The map is injective, so the slot is at most the number of basis
+    monomials at that energy.  That number is at most the cap-free one,
+    the six-root product's coefficient at y1 = y2 = 1, and so at most
+    `_coefficient_bound(qmax)`.  The packed T_l count partitions into at
+    most l parts, which is smaller still.  Slots past `budget` may
+    overflow, but a carry moves only upward and is masked away.
     """
     npos = len(n1) // 2  # positions where a particle can cost < 0
     cstar, xs, least = _color2_floor(n1)
@@ -415,8 +413,6 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
         top = min(top, cap)
     lo = least(0, top)
     size = budget - lo + 1  # slots: state energies lo..budget
-    if size <= 0:
-        return lo, {}
     mask = (1 << width * size) - 1
     # states[p][v]: packed counts, slot j at state energy lo + j
     states: list[dict[int, int]] = [{0: 1}]
@@ -471,7 +467,9 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     `_color2_counts` counts the color-2 vectors of every color-2 charge
     list at once.  Each color is budgeted against the other's least
     energy, and the count at total energy e is the product of the two
-    histograms summed over e1 + e2 = e.
+    histograms summed over e1 + e2 = e.  Beside every n1 the walk admits,
+    the color-2 count keeps at least one list (see `_color2_counts`).
+    The packed tables T_l are built once per run length in each call.
 
     Every histogram is packed into one int (Kronecker substitution): slot
     j, `width` = `_slot_width(qmax)` bits wide, holds the count at energy
@@ -494,15 +492,12 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     validate_spec(spec)
     validate_trunc(qmax)
     width = _slot_width(qmax)
-    tables: dict[int, int] = {}
 
+    @cache
     def slack(length: int) -> int:
-        run = tables.get(length)
-        if run is None:
-            run = 0
-            for n in reversed(_run_slack(length, qmax)):
-                run = run << width | n
-            tables[length] = run
+        run = 0
+        for n in reversed(_run_slack(length, qmax)):
+            run = run << width | n
         return run
 
     totals: dict[tuple[int, int], int] = {}
@@ -510,8 +505,6 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
         n1 = conjugate(r1)
         e1 = diag_energy_from_charges(n1)
         lo, counts2 = _color2_counts(n1, qmax - e1, spec.color2_cap, slack, width)
-        if not counts2:
-            continue
         # slack the two colors share: slots 0..qmax - e1 - lo
         mask = (1 << width * (qmax - e1 - lo + 1)) - 1
         hist1 = 1

@@ -19,8 +19,8 @@ coeff} dict per q-degree, so a long chain of divisions builds a single
 `TruncatedSeries` at the end.
 """
 
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 
 class SeriesError(ValueError):
@@ -70,14 +70,17 @@ class TruncatedSeries:
 
     Instances are immutable after construction and safe to share: `terms`
     is a read-only view of the nonzero terms.  Pickling and copying
-    rebuild a series through the constructor.  Keys are triples of ints
-    >= 0 and coefficients are ints; bools are refused for both.
+    rebuild a series through the constructor.  `terms` is a mapping or
+    None; anything else raises TypeError.  Keys are triples of ints >= 0
+    and coefficients are ints; bools are refused for both.
     """
 
     __slots__ = ("trunc", "terms")
 
     def __init__(self, trunc: int, terms: Mapping[tuple[int, int, int], int] | None = None):
         validate_trunc(trunc)
+        if terms is not None and not isinstance(terms, Mapping):
+            raise TypeError(f"terms must be a mapping, got {type(terms).__name__}")
         clean: dict[tuple[int, int, int], int] = {}
         if terms:
             _check_keys(terms, trunc)
@@ -121,7 +124,6 @@ class TruncatedSeries:
             ca, cb = self.terms.get(key, 0), other.terms.get(key, 0)
             if ca != cb:
                 return key, ca, cb
-        return None
 
     def _check_compatible(self, other) -> None:
         if not isinstance(other, TruncatedSeries):

@@ -14,13 +14,16 @@ from oracles import (
 from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.partitions import (
+    _slot_width,
     conjugate,
     diag_energy_from_charges,
     mixed_energy_from_charges,
 )
 from qpchar.qp_enum import (
     QPMonomial,
+    _color1_dual_counts,
     _color2_charge_lists,
+    _color2_counts,
     _color2_floor,
     _run_slack,
     enumerate_basis,
@@ -228,9 +231,9 @@ def test_color2_floor_is_least_cost_of_later_particles():
                 assert least(p, c) == min(best[:c + 1]), (n1, p, c)
 
 
-def test_color1_mode_vectors_built_once_per_budget(monkeypatch):
-    # beside one n1 the color-1 vectors depend only on e2_min, which many
-    # color-2 lists share: one color-1 build per (n1, e2_min), one color-2
+def test_color1_mode_vectors_built_once_per_charge_list(monkeypatch):
+    # beside one n1 every color-2 list shares one color-1 vector list, built
+    # at the least e2_min's budget: one color-1 build per n1, one color-2
     # build per charge type
     real = qp_enum._mode_vectors
     calls = []
@@ -241,12 +244,36 @@ def test_color1_mode_vectors_built_once_per_budget(monkeypatch):
 
     monkeypatch.setattr(qp_enum, "_mode_vectors", counted)
     types = list(qp_enum._charge_types(V, 6))
-    budgets = {
-        (n1, diag_energy_from_charges(n2) - mixed_energy_from_charges(n1, n2))
-        for n1, n2, _vecs1, _vecs2 in types
-    }
-    assert len(budgets) < len(types)
-    assert len(calls) == len(types) + len(budgets)
+    lists1 = {n1 for n1, _n2, _vecs1, _vecs2 in types}
+    assert len(lists1) < len(types)
+    assert len(calls) == len(types) + len(lists1)
+
+
+@pytest.mark.parametrize("spec", [S1, S2, S3, V])
+def test_dual_count_floor_is_least_energy_beside_n1(spec):
+    # the floor sum ceil(a^2/4) that admits r1 is e1 + least(0, c*): the
+    # least energy of a monomial with color-1 charges n1, so the color-2
+    # count beside every admitted n1 keeps a list.  The count is run at the
+    # least qmax that admits r1, where its budget qmax - e1 is tightest
+    seen = set()
+    for qmax in range(17):
+        width = _slot_width(qmax)
+
+        def slack(length: int) -> int:
+            return sum(n << width * t for t, n in enumerate(_run_slack(length, qmax)))
+
+        for r1 in _color1_dual_counts(spec, qmax):
+            n1 = conjugate(r1)
+            e1 = diag_energy_from_charges(n1)
+            cstar, _xs, least = _color2_floor(n1)
+            floor = sum((a * a + 3) // 4 for a in r1)
+            assert floor == e1 + least(0, cstar), r1
+            if r1 in seen:
+                continue
+            seen.add(r1)
+            assert floor == qmax, r1
+            _lo, counts = _color2_counts(n1, qmax - e1, spec.color2_cap, slack, width)
+            assert counts, r1
 
 
 # --- run slack tables --------------------------------------------------------

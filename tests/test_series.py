@@ -95,6 +95,21 @@ def test_bool_coefficients_rejected(c):
         TruncatedSeries(3, {(1, 0, 0): c})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [[(1, 0, 0)], [((1, 0, 0), 1)], "", "abc", 3, {(1, 0, 0)}],
+    ids=["list", "list-of-pairs", "empty-str", "str", "int", "set"],
+)
+def test_non_mapping_terms_rejected(terms):
+    with pytest.raises(TypeError, match="terms must be a mapping"):
+        TruncatedSeries(3, terms)
+
+
+def test_mapping_proxy_terms_accepted():
+    s = _one(2)
+    assert TruncatedSeries(2, s.terms) == s
+
+
 def test_immutability():
     s = _one(2)
     with pytest.raises(AttributeError):
