@@ -15,8 +15,6 @@ once a --qmax is present and >= 0.
 """
 
 import argparse
-import csv
-import json
 import os
 import random
 import sys
@@ -121,20 +119,14 @@ def _spec_for(space: str, level: int | None) -> ModuleSpec:
     return ModuleSpec.standard(level) if space == "L" else ModuleSpec.verma()
 
 
-def _write_csv(series: TruncatedSeries) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(("q", "y1", "y2", "coeff"))
-    for (q, y1, y2), c in series.sorted_terms():
-        writer.writerow((q, y1, y2, str(c)))
-
-
-def _write_json(series: TruncatedSeries) -> None:
-    rows = [[q, y1, y2, str(c)] for (q, y1, y2), c in series.sorted_terms()]
-    if not rows:
-        sys.stdout.write("[]\n")
-        return
-    body = ",\n".join("  " + json.dumps(row) for row in rows)
-    sys.stdout.write("[\n" + body + "\n]\n")
+def _write_table(series: TruncatedSeries, fmt: str) -> None:
+    # every character holds its constant term 1, so no table is empty
+    if fmt == "csv":
+        rows = [f"{q},{y1},{y2},{c}\n" for (q, y1, y2), c in series.sorted_terms()]
+        sys.stdout.write("q,y1,y2,coeff\n" + "".join(rows))
+    else:
+        rows = [f'  [{q}, {y1}, {y2}, "{c}"]' for (q, y1, y2), c in series.sorted_terms()]
+        sys.stdout.write("[\n" + ",\n".join(rows) + "\n]\n")
 
 
 def _report_compare(name_a: str, a: TruncatedSeries, name_b: str, b: TruncatedSeries,
@@ -197,10 +189,7 @@ def _run_char(ns: argparse.Namespace) -> int:
         series = product_side(ns.qmax)
     else:
         series = pbw_enumerated(ns.qmax)
-    if ns.format == "csv":
-        _write_csv(series)
-    else:
-        _write_json(series)
+    _write_table(series, ns.format)
     return 0
 
 

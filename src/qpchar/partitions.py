@@ -130,25 +130,14 @@ def _coefficient_bound(qmax: int) -> int:
     return max(dp)
 
 
-def _check_slot_width(width: int, bound: int) -> int:
-    """Return `width` if slots of that many bits hold every count up to
-    `bound`; raise ValueError otherwise.  Packing is exact only then, so
-    the width is checked before any slot is filled, never after."""
-    if bound >> width:
-        raise ValueError(f"{width}-bit slots cannot hold counts up to {bound}")
-    return width
-
-
 def _slot_width(qmax: int) -> int:
     """Bits per slot when a q-coefficient list truncated at q^qmax is
     packed into one int, slot j holding the coefficient of q^j (Kronecker
-    substitution): the bit length of `_coefficient_bound(qmax)`, checked
-    by `_check_slot_width`.
+    substitution): the bit length of `_coefficient_bound(qmax)`.
 
     With all counts >= 0 and every true count through q^qmax below
     2^width, a carry can start only in a slot past the truncation, and it
     moves upward, into slots that are masked away; so the slots through
     q^qmax are exact.
     """
-    bound = _coefficient_bound(qmax)
-    return _check_slot_width(bound.bit_length(), bound)
+    return _coefficient_bound(qmax).bit_length()

@@ -117,21 +117,16 @@ class TruncatedSeries:
     def first_mismatch(self, other: "TruncatedSeries") -> tuple[tuple[int, int, int], int, int] | None:
         """The lexicographically first key where the two series differ, with
         this series' and the other's coefficient there; None if equal."""
-        self._check_compatible(other)
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
+        if self.trunc != other.trunc:
+            raise TruncationMismatch(f"truncation orders differ: {self.trunc} != {other.trunc}")
         if self.terms == other.terms:
             return None
         for key in sorted(self.terms.keys() | other.terms.keys()):
             ca, cb = self.terms.get(key, 0), other.terms.get(key, 0)
             if ca != cb:
                 return key, ca, cb
-
-    def _check_compatible(self, other) -> None:
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
-        if self.trunc != other.trunc:
-            raise TruncationMismatch(
-                f"truncation orders differ: {self.trunc} != {other.trunc}"
-            )
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int], int]]:
         """Terms sorted lexicographically by (q_deg, y1_deg, y2_deg); this is

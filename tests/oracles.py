@@ -332,14 +332,19 @@ def per_type_basis_count(spec, qmax: int) -> TruncatedSeries:
 
     Every mode vector of each color is walked by `_charge_types`; the pairs
     are counted, not built: the count at total energy e is the product of
-    the two colors' energy histograms, summed over e1 + e2 = e.
+    the two colors' energy histograms, summed over e1 + e2 = e.  Every
+    charge type of one n1 gets the same `vecs1` list, so its histogram is
+    built once per list.
     """
     terms: dict[tuple[int, int, int], int] = {}
+    last_vecs1 = None
     for n1, n2, vecs1, vecs2 in _charge_types(spec, qmax):
         r1, r2 = sum(n1), sum(n2)
-        hist1: dict[int, int] = {}
-        for e, _modes in vecs1:
-            hist1[e] = hist1.get(e, 0) + 1
+        if vecs1 is not last_vecs1:
+            last_vecs1 = vecs1
+            hist1: dict[int, int] = {}
+            for e, _modes in vecs1:
+                hist1[e] = hist1.get(e, 0) + 1
         hist2: dict[int, int] = {}
         for e, _modes in vecs2:
             hist2[e] = hist2.get(e, 0) + 1

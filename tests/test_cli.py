@@ -245,6 +245,22 @@ def test_verify_conjugation_accepts_seed_range_ends():
     assert verify_conjugation(5, 2 ** 64 - 1)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "name,wrong,failed",
+    [
+        ("conjugate", lambda p: p + (1,), "conjugation failed"),
+        ("diag_energy_from_dual", lambda r: -1, "same-color energy mismatch"),
+        ("mixed_energy_from_dual", lambda r1, r2: -1, "cross-color energy mismatch"),
+    ],
+)
+def test_verify_conjugation_fails_on_a_broken_identity(capsys, monkeypatch, name, wrong, failed):
+    monkeypatch.setattr(cli, name, wrong)
+    code, report = verify_conjugation(10, 0)
+    assert code == 1 and len(report) == 1 and failed in report[0]
+    code, out, _ = run(capsys, "verify", "--check", "conjugation")
+    assert code == 1 and out == report[0] + "\n"
+
+
 # --- mismatch reporting -----------------------------------------------------
 
 def test_mismatch_reports_first_key_and_both_coefficients(capsys):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from oracles import colored_partition_counts, total_exponent
 from qpchar.partitions import (
-    _check_slot_width,
     _coefficient_bound,
     _slot_width,
     conjugate,
@@ -135,9 +134,6 @@ def test_coefficient_bound_is_largest_six_root_coefficient():
 
 
 @pytest.mark.parametrize("qmax,width", [(0, 1), (1, 3), (16, 23), (24, 30), (40, 41)])
-def test_slot_width_one_bit_narrower_is_refused(qmax, width):
-    bound = _coefficient_bound(qmax)
+def test_slot_width_is_bit_length_of_bound(qmax, width):
     assert _slot_width(qmax) == width
-    assert _check_slot_width(width, bound) == width
-    with pytest.raises(ValueError):
-        _check_slot_width(width - 1, bound)
+    assert 2 ** (width - 1) <= _coefficient_bound(qmax) < 2 ** width

@@ -320,3 +320,15 @@ def test_first_mismatch():
     assert b.first_mismatch(a) == ((1, 2, 0), 2, 0)
     with pytest.raises(TruncationMismatch):
         a.first_mismatch(TruncatedSeries(2))
+    with pytest.raises(TypeError, match="expected TruncatedSeries, got dict"):
+        a.first_mismatch({(0, 0, 0): 1})
+
+
+def test_equality_with_non_series_is_false():
+    one = _one(2)
+    assert one.__eq__(1) is NotImplemented
+    assert not one == 1 and one != 1
+
+
+def test_repr_names_truncation_and_term_count():
+    assert repr(_one(2)) == "TruncatedSeries(trunc=2, 1 terms)"
