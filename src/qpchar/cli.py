@@ -115,10 +115,6 @@ def _check(ns: argparse.Namespace) -> None:
         raise _UsageError(f"--method {ns.method} is only valid with --space N")
 
 
-def _spec_for(space: str, level: int | None) -> ModuleSpec:
-    return ModuleSpec.standard(level) if space == "L" else ModuleSpec.verma()
-
-
 def _write_table(series: TruncatedSeries, fmt: str) -> None:
     # every character holds its constant term 1, so no table is empty
     if fmt == "csv":
@@ -180,7 +176,8 @@ def verify_conjugation(trials: int, seed: int) -> tuple[int, list[str]]:
 
 
 def _run_char(ns: argparse.Namespace) -> int:
-    spec = _spec_for(ns.space, ns.level)
+    # _check allows --level only with --space L, and level None is the Verma module
+    spec = ModuleSpec(ns.level)
     if ns.method == "fermionic":
         series = character_fermionic(spec, ns.qmax)
     elif ns.method == "enumerate":
@@ -201,7 +198,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
             "identity",
         )
     if ns.check == "basis":
-        spec = _spec_for(ns.space, ns.level)
+        spec = ModuleSpec(ns.level)
         return _report_compare(
             "enumerate", enumerate_basis(spec, ns.qmax),
             "fermionic", character_fermionic(spec, ns.qmax),
