@@ -38,7 +38,9 @@ the slack tables of its runs, and counts every color-2 charge list at once
 with a DP over charge values (`_color2_counts`).  Each histogram is one
 int with a fixed-width slot per energy, so adding a run or pairing two
 histograms is one big-int multiply; the slot width comes from a bound on
-every count, proved before packing (`_slot_width`).  `iter_basis_monomials`
+every count, proved before packing (`_slot_width`).  The DP keeps one int
+per DP row, the states of p particles so far with a block per y2 degree,
+so a run acts on every y2 degree at once.  `iter_basis_monomials`
 builds the monomials themselves, one charge type (n1, n2) at a time
 (`_charge_types`).  It walks the charge lists directly: beside each n1,
 `_color2_charge_lists` grows every color-2 list n2 whose least energy fits
@@ -197,33 +199,51 @@ def _color1_dual_counts(spec: ModuleSpec, qmax: int) -> Iterator[Partition]:
     return grow(0)
 
 
-def _color2_floor(n1: Partition) -> tuple[int, list[int], Callable[[int, int], int]]:
+def _color2_floor(n1: Partition, budget: int) -> tuple[int, list[int], list[list[int]]]:
     """The color-2 cost floor beside the color-1 charges n1: (c*, X, least).
 
     The p-th particle (0-based) of charge c costs at least f_p(c) =
     c(1 + 2p) - X(c), X(c) = sum over a in n1 of min(3a, c), the negated
-    bound.  X is returned for c <= c* = 3 max(n1); past c* it stays 3|n1|
-    and f_p grows with c.  X(c) <= c * len(n1), so f_p(c) >= 0 once
-    1 + 2p >= len(n1): only the first len(n1) // 2 positions can cost < 0.
-    `least(p, c)`, the exact least cost of weakly decreasing particles at
-    positions >= p with charges <= c (none at all costs 0), is thus 0 from
-    p = len(n1) // 2 on, least(p, c*) past c*, and else a table entry:
-    min(least(p, c - 1), f_p(c) + least(p + 1, c)), as the particle at p,
+    bound.  X is listed for c <= c* = 3 max(n1); past c* it stays 3|n1|
+    and f_p grows with c.  X(c) - X(c - 1) counts the a in n1 with
+    3a >= c, so X is built step by step.  X(c) <= c * len(n1), so
+    f_p(c) >= 0 once 1 + 2p >= len(n1): only the first len(n1) // 2
+    positions can cost < 0, and each position past len(n1) // 2 costs at
+    least 2.  `least[c][p]`, the exact least cost of weakly decreasing
+    particles at positions >= p with charges <= c (none at all costs 0),
+    is thus 0 from p = len(n1) // 2 on, least[c*][p] past c*, and else
+    min(least[c - 1][p], f_p(c) + least[c][p + 1]), as the particle at p,
     if any, has charge c or less.  It is exact, not only a lower bound, as
     `_color2_counts` needs: it completes partial vectors at their floor.
+
+    Each row least[c] is padded with zeros to len(n1) // 2 + size + 3
+    positions, size = max(budget - least[c*][0] + 1, 0), so that both
+    callers, with this budget, read it without a test of the position.  By
+    those costs of at least 2, p particles with a floor within the budget
+    have p <= len(n1) // 2 + 1 + (size - 1) / 2.  `_color2_charge_lists`
+    reads position p + 1 beside them.  `_color2_counts` reads p + l for
+    the runs of l particles it tries from there; past max(p, len(n1) // 2)
+    each particle of a run raises its floor step by at least 2, so the
+    last position it reads is at most max(p, len(n1) // 2) + 2 +
+    (size - 1) / 2.
     """
     npos = len(n1) // 2  # positions where a particle can cost < 0
     cstar = 3 * n1[0] if n1 else 0
-    xs = [sum(min(3 * a, c) for a in n1) for c in range(cstar + 1)]
-    table = [[0] * (cstar + 1) for _ in range(npos + 1)]
-    for p in range(npos - 1, -1, -1):
-        row, after = table[p], table[p + 1]
-        for c in range(1, cstar + 1):
-            row[c] = min(row[c - 1], c * (1 + 2 * p) - xs[c] + after[c])
-
-    def least(p: int, c: int) -> int:
-        return table[p][min(c, cstar)] if p < npos else 0
-
+    xs = [0]
+    above = len(n1)  # the a in n1 with 3a >= c
+    for c in range(1, cstar + 1):
+        while 3 * n1[above - 1] < c:
+            above -= 1
+        xs.append(xs[-1] + above)
+    least = [[0] * (npos + 1)]
+    for c in range(1, cstar + 1):
+        row, prev = [0] * (npos + 1), least[c - 1]
+        for p in range(npos - 1, -1, -1):
+            row[p] = min(prev[p], c * (1 + 2 * p) - xs[c] + row[p + 1])
+        least.append(row)
+    pad = [0] * (max(budget - least[cstar][0] + 1, 0) + 2)
+    for row in least:
+        row += pad
     return cstar, xs, least
 
 
@@ -234,11 +254,11 @@ def _color2_charge_lists(n1: Partition, budget: int, cap: int | None) -> Iterato
 
     n2 grows weakly decreasing, each prefix before its extensions.  f_p(c)
     can be negative, so a prefix takes charge c at position p only if its
-    cost plus f_p(c) plus the floor `least(p + 1, c)` of `_color2_floor`
+    cost plus f_p(c) plus the floor `least[c][p + 1]` of `_color2_floor`
     fits the budget.  Past c*, f_p grows with c and least stays put, so
     there a charge that does not fit ends the position's charges.
     """
-    cstar, xs, least = _color2_floor(n1)
+    cstar, xs, least = _color2_floor(n1, budget)
     n2: list[int] = []
 
     def grow(acc: int) -> Iterator[tuple[Partition, int]]:
@@ -248,8 +268,9 @@ def _color2_charge_lists(n1: Partition, budget: int, cap: int | None) -> Iterato
         top = n2[-1] if n2 else cap
         c = 1
         while top is None or c <= top:
-            cost = acc + c * (1 + 2 * p) - xs[min(c, cstar)]
-            if cost + least(p + 1, c) <= budget:
+            cc = min(c, cstar)
+            cost = acc + c * (1 + 2 * p) - xs[cc]
+            if cost + least[cc][p + 1] <= budget:
                 n2.append(c)
                 yield from grow(cost)
                 n2.pop()
@@ -304,6 +325,9 @@ def _charge_types(spec: ModuleSpec, qmax: int) -> Iterator[tuple[Partition, Part
 
 
 def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
+    # the walk builds weakly decreasing charges and int modes, so each
+    # monomial is built without the checks of QPMonomial.__post_init__
+    make, put = object.__new__, object.__setattr__
     for n1, n2, vecs1, vecs2 in _charge_types(spec, qmax):
         e2_min = vecs2[0][0]
         for e1, m1 in vecs1:
@@ -313,10 +337,10 @@ def _monomials(spec: ModuleSpec, qmax: int) -> Iterator[QPMonomial]:
             for e2, m2 in vecs2:
                 if e2 > budget:
                     break
-                yield QPMonomial(
-                    color1=tuple(zip(n1, m1)),
-                    color2=tuple(zip(n2, m2)),
-                )
+                b = make(QPMonomial)
+                put(b, "color1", tuple(zip(n1, m1)))
+                put(b, "color2", tuple(zip(n2, m2)))
+                yield b
 
 
 def _run_slack(length: int, tmax: int) -> list[int]:
@@ -329,25 +353,26 @@ def _run_slack(length: int, tmax: int) -> list[int]:
     A run of charge n whose first bound is B has the same table, since
     m_i -> B + m_i - 2(n-1)i maps one walk onto the other and keeps every
     energy's distance from the greedy minimum.  The i-th mode's slack, its
-    drop below the greedy value -2i, is at least the previous mode's, so a
-    mode whose slack already exceeds what the later positions can afford
-    ends the step-down.  T_l counts partitions into at most l parts, the
-    expansion of 1/(q)_l.
+    drop below the greedy value -2i, is at least the previous mode's, so
+    the walk is memoized on (position, least slack still allowed): a mode
+    either takes that slack s, and the later modes keep slack >= s, or it
+    steps one lower, to slack >= s + 1.  Taking s puts the later modes'
+    counts s further along the excess, and a slack s that the later
+    positions cannot afford even at s each ends the step-down.  So the
+    vectors are counted, never listed.  T_l counts partitions into at most
+    l parts, the expansion of 1/(q)_l.
     """
-    counts = [0] * (tmax + 1)
-
-    def walk(i: int, top: int, excess: int) -> None:
-        # top: the highest mode the gap rule leaves position i
-        if i == length:
-            counts[excess] += 1
-            return
-        m = top
-        while excess + (-2 * i - m) * (length - i) <= tmax:
-            walk(i + 1, m - 2, excess - 2 * i - m)
-            m -= 1
-
-    walk(0, 0, 0)
-    return counts
+    # walks[s]: the counts of the positions after the current one, by
+    # their excess, when the next one's slack is at least s; after the last
+    # position only the empty walk is left, of excess 0
+    walks = [[1] + [0] * tmax] * (tmax + 1)
+    for rest in range(1, length + 1):  # positions from the current one on
+        here = [[0] * (tmax + 1)]  # a slack past tmax // rest: over budget
+        for s in range(tmax // rest, -1, -1):
+            take, lower = walks[s], here[-1]
+            here.append(lower[:s] + [a + b for a, b in zip(lower[s:], take)])
+        walks = here[::-1]
+    return walks[0]
 
 
 def _color2_counts(n1: Partition, budget: int, cap: int | None,
@@ -363,31 +388,38 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     Callers pass an n1 that `_color1_dual_counts` admits, with `budget` =
     qmax - e1, e1 its greedy color-1 energy.  Then lo <= budget and counts
     is never empty.  The walk admits r1 while its floor, the sum over r1 of
-    ceil(a^2/4), is <= qmax, and that floor is e1 + least(0, c*): both are
+    ceil(a^2/4), is <= qmax, and that floor is e1 + least[c*][0]: both are
     the least energy of a monomial with color-1 charges n1, once as the
     least exponent of the fermionic terms at r1 and once as e1 plus the
     least color-2 energy beside n1.  The cap is 3k >= c*, so lo =
-    least(0, c*), and the color-2 list of least energy fits the budget.
+    least[c*][0], and the color-2 list of least energy fits the budget.
 
     The p-th particle of charge c costs at least f_p(c) = c(1 + 2p) - X(c),
     as in `_color2_floor`.  A DP runs over charge values c from the largest
     to 1 and appends a run of l >= 0 particles of charge c at positions
     p..p+l-1: greedy cost f_p(c) + ... + f_{p+l-1}(c) plus a slack counted
     by T_l (the gap rule binds inside the run).  Its states are (particles
-    so far p, y2 degree v), each holding its energies packed, so a run is
-    one multiply by T_l, a shift and a mask.
+    so far p, y2 degree v), each holding its energies packed, and the
+    states of one p are one int, the DP row: a block of stride =
+    2 * size * width bits per y2 degree v, size = budget - lo + 1 slots of
+    state energy and a guard as wide.  A run of l particles of charge c
+    that moves the state floor d slots up acts on every v at once: it
+    multiplies the row by T_l cut to size - d slots, shifts the product by
+    d slots, masks each block to its low `size` slots with one replicated
+    mask, and shifts by c * l * stride, which adds c * l to every y2
+    degree.
 
     Energies can be negative, so pruning needs a floor on what the
-    particles still to come can cost: `least(p, c)` of `_color2_floor`.
+    particles still to come can cost: `least[c][p]` of `_color2_floor`.
     A run reaching past the first len(n1) // 2 positions only adds cost.
-    A state is kept as its energy plus least(p, c) for the charges c still
+    A state is kept as its energy plus least[c][p] for the charges c still
     to come: a floor of every completion's final energy.  That value never
-    falls from one charge value to the next, starts at lo = least(0, top),
-    and ends as the energy itself, so a state above `budget` has no
-    completion within it and every state lies in [lo, budget].  The first
-    particle of a charge c > c* costs c - X(c*) and the rest at least
-    least(1, c*), so no charge above max(c*, budget + X(c*) - least(1, c*))
-    fits, nor above the cap.
+    falls from one charge value to the next, starts at lo, the least[c][0]
+    of the largest charge c, and ends as the energy itself, so a state
+    above `budget` has no completion within it and every state lies in
+    [lo, budget].  The first particle of a charge c > c* costs c - X(c*)
+    and the rest at least least[c*][1], so no charge above
+    max(c*, budget + X(c*) - least[c*][1]) fits, nor above the cap.
 
     The packing is exact because no slot at or below `budget` can reach
     2^width, `width` being `_slot_width(qmax)` from `enumerate_basis`.
@@ -405,53 +437,66 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     `_coefficient_bound(qmax)`.  The packed T_l count partitions into at
     most l parts, which is smaller still.  Slots past `budget` may
     overflow, but a carry moves only upward and is masked away.
+
+    Two more steps keep the blocks of a row apart.  Block guard: a block
+    is below 2^(size * width) and T_l cut to size - d slots is below
+    2^((size - d) * width), so their product, shifted by d slots, stays
+    below 2^stride.  All of them are >= 0, so the row's product is the
+    blocks' products side by side, and none reaches the next block; the
+    rows' final sum holds true counts in every slot, so it carries
+    nowhere.  Row drop: a floor shift of s slots keeps a block below
+    2^((size + s) * width), inside its stride while s <= size.  A shift
+    of `size` slots or more leaves no slot within the budget, so it sets
+    the row to 0 and never shifts it, since that would cross blocks.
     """
     npos = len(n1) // 2  # positions where a particle can cost < 0
-    cstar, xs, least = _color2_floor(n1)
-    top = max(cstar, budget + xs[cstar] - least(1, cstar))
+    cstar, xs, least = _color2_floor(n1, budget)
+    top = max(cstar, budget + xs[cstar] - least[cstar][1])
     if cap is not None:
         top = min(top, cap)
-    lo = least(0, top)
+    lo = least[min(top, cstar)][0]
     size = budget - lo + 1  # slots: state energies lo..budget
-    mask = (1 << width * size) - 1
-    # states[p][v]: packed counts, slot j at state energy lo + j
-    states: list[dict[int, int]] = [{0: 1}]
+    stride = 2 * size * width  # bits per y2 degree: `size` slots and a guard as wide
+    cuts = [(1 << width * j) - 1 for j in range(size + 1)]  # low j slots
+    block = cuts[size]
+    rep, rep_bits = block, stride  # `block` in each of the first rep_bits / stride blocks
+    # rows[p]: the states of p particles so far, block v the packed counts of
+    # y2 degree v, slot j at state energy lo + j; one row per position of least
+    rows = [1] + [0] * (len(least[0]) - 1)
     for c in range(top, 0, -1):
-        x = xs[min(c, cstar)]
-        # a run moves p up, so taking p downward never feeds a state twice
-        for p in range(len(states) - 1, -1, -1):
-            here = least(p, c)
-            shift = least(p, c - 1) - here
-            runs = []  # (l, state step, T_l) of each run a state at lo may take
+        cc, cm = min(c, cstar), min(c - 1, cstar)
+        x, now, nxt = xs[cc], least[cc], least[cm]
+        # a run moves p up, so taking p downward never feeds a row twice
+        for p in range(len(rows) - 1, -1, -1):
+            row = rows[p]
+            if not row:
+                continue
+            while rep_bits < row.bit_length():
+                rep |= rep << rep_bits
+                rep_bits *= 2
+            here = now[p]
             l = 1
             while True:
-                d = c * l * (2 * p + l) - l * x - here + least(p + l, c - 1)
+                d = c * l * (2 * p + l) - l * x - here + nxt[p + l]
                 if d < size:
-                    runs.append((l, d, slack(l)))
+                    run = (row * (slack(l) & cuts[size - d]) << d * width) & rep
+                    rows[p + l] += run << c * l * stride
                 elif p + l >= npos:
                     break  # each further particle costs >= 0 more
                 l += 1
-            if not runs and not shift:
-                continue
-            while runs and len(states) <= p + runs[-1][0]:
-                states.append({})
-            row = states[p]
-            for v, cnt in list(row.items()):
-                first = ((cnt & -cnt).bit_length() - 1) // width
-                for l, d, run in runs:
-                    if first + d < size:
-                        dst = states[p + l]
-                        key = v + c * l
-                        dst[key] = dst.get(key, 0) + ((cnt * run << d * width) & mask)
-                if shift:
-                    if first + shift >= size:
-                        del row[v]
-                    else:
-                        row[v] = (cnt << shift * width) & mask
+            shift = nxt[p] - here
+            if shift >= size:
+                rows[p] = 0  # shifting could carry a block into the next
+            elif shift:
+                rows[p] = (row << shift * width) & rep
     counts: dict[int, int] = {}
-    for row in states:
-        for v, cnt in row.items():
-            counts[v] = counts.get(v, 0) + cnt
+    total = sum(rows)
+    v = 0
+    while total:
+        if total & block:
+            counts[v] = total & block
+        total >>= stride
+        v += 1
     return lo, counts
 
 

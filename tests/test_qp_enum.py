@@ -1,9 +1,11 @@
 import itertools
 from collections import Counter
+from functools import cache
 
 import pytest
 
 from oracles import (
+    _list_color2_counts,
     _partitions_in_box,
     brute_basis_series,
     list_basis_count,
@@ -204,12 +206,13 @@ def test_color2_charge_lists_yield_least_energy(n1, budget, cap):
 
 
 def test_color2_floor_is_least_cost_of_later_particles():
-    # least(p, c) is the exact least of sum f_{p+i}(c_i) over weakly
+    # least[c][p] is the exact least of sum f_{p+i}(c_i) over weakly
     # decreasing c_0 >= c_1 >= ... with c_0 <= c, the empty list costing 0;
-    # f is restated here.  The box search takes lists up to position
+    # f and X are restated here.  The box search takes lists up to position
     # len(n1): past (len(n1) - 1) / 2 every f is >= 0, as X(c) <= c len(n1)
     for n1 in _partitions_in_box(5, 3):
-        cstar, _xs, least = _color2_floor(n1)
+        cstar, xs, least = _color2_floor(n1, 0)
+        assert xs == [sum(min(3 * a, c) for a in n1) for c in range(cstar + 1)], n1
         cmax = cstar + 2
         f = [[c * (1 + 2 * q) - sum(min(3 * a, c) for a in n1) for c in range(cmax + 1)]
              for q in range(len(n1) + 1)]
@@ -228,7 +231,7 @@ def test_color2_floor_is_least_cost_of_later_particles():
 
             walk(p, cmax, 0, 0)
             for c in range(cmax + 1):
-                assert least(p, c) == min(best[:c + 1]), (n1, p, c)
+                assert least[min(c, cstar)][p] == min(best[:c + 1]), (n1, p, c)
 
 
 def test_color1_mode_vectors_built_once_per_charge_list(monkeypatch):
@@ -251,7 +254,7 @@ def test_color1_mode_vectors_built_once_per_charge_list(monkeypatch):
 
 @pytest.mark.parametrize("spec", [S1, S2, S3, V])
 def test_dual_count_floor_is_least_energy_beside_n1(spec):
-    # the floor sum ceil(a^2/4) that admits r1 is e1 + least(0, c*): the
+    # the floor sum ceil(a^2/4) that admits r1 is e1 + least[c*][0]: the
     # least energy of a monomial with color-1 charges n1, so the color-2
     # count beside every admitted n1 keeps a list.  The count is run at the
     # least qmax that admits r1, where its budget qmax - e1 is tightest
@@ -265,9 +268,9 @@ def test_dual_count_floor_is_least_energy_beside_n1(spec):
         for r1 in _color1_dual_counts(spec, qmax):
             n1 = conjugate(r1)
             e1 = diag_energy_from_charges(n1)
-            cstar, _xs, least = _color2_floor(n1)
+            cstar, _xs, least = _color2_floor(n1, qmax - e1)
             floor = sum((a * a + 3) // 4 for a in r1)
-            assert floor == e1 + least(0, cstar), r1
+            assert floor == e1 + least[cstar][0], r1
             if r1 in seen:
                 continue
             seen.add(r1)
@@ -298,10 +301,11 @@ def test_run_slack_counts_valid_runs(color, length, charge):
     assert _run_slack(length, tmax) == want
 
 
-@pytest.mark.parametrize("length", range(7))
-def test_run_slack_is_partitions_into_at_most_l_parts(length):
+@pytest.mark.parametrize(
+    "length,tmax", [*((length, 15) for length in range(7)), (12, 80)], ids=[*map(str, range(7)), "12-80"]
+)
+def test_run_slack_is_partitions_into_at_most_l_parts(length, tmax):
     # the expansion of 1/(q)_l: one geometric factor 1/(1 - q^i) per i <= l
-    tmax = 15
     want = [1] + [0] * tmax
     for i in range(1, length + 1):
         for j in range(i, tmax + 1):
@@ -333,6 +337,38 @@ def test_packed_count_equals_list_count_standard(spec):
 def test_packed_count_equals_list_count_verma():
     for qmax in [*range(13), 16]:
         assert enumerate_basis(V, qmax) == list_basis_count(V, qmax), qmax
+
+
+@pytest.mark.parametrize(
+    "spec,qmax",
+    [
+        *(pytest.param(spec, qmax, id=f"L{k}-{qmax}")
+          for k, spec in enumerate((S1, S2, S3, ModuleSpec.standard(4)), 1)
+          for qmax in range(13) if (k, qmax) != (2, 4)),
+        # a floor shift of `size` slots or more must empty the row: shifting
+        # it anyway carries each block into the low slots of the next y2
+        # degree, which the mask keeps; L k=2 at qmax 4 is the first point
+        # where that shows
+        pytest.param(S2, 4, id="L2-4-row-drop"),
+        *(pytest.param(V, qmax, id=f"V-{qmax}") for qmax in [*range(13), 16]),
+    ],
+)
+def test_color2_rows_equal_list_dp(spec, qmax):
+    # per n1, the packed rows against the list DP: the same lo, and per y2
+    # degree v the same count at every energy lo + j <= budget
+    width = _slot_width(qmax)
+    slot = (1 << width) - 1
+    table = cache(lambda length: _run_slack(length, qmax))
+    packed = cache(lambda length: sum(n << width * t for t, n in enumerate(table(length))))
+
+    for r1 in _color1_dual_counts(spec, qmax):
+        n1 = conjugate(r1)
+        budget = qmax - diag_energy_from_charges(n1)
+        lo, counts = _color2_counts(n1, budget, spec.color2_cap, packed, width)
+        want_lo, want = _list_color2_counts(n1, budget, spec.color2_cap, table)
+        assert lo == want_lo, n1
+        got = {v: [cnt >> width * j & slot for j in range(budget - lo + 1)] for v, cnt in counts.items()}
+        assert got == {v: cnt for v, cnt in want.items() if any(cnt)}, n1
 
 
 # --- agreement with the fermionic sum ----------------------------------------
@@ -367,6 +403,14 @@ def test_monotone_in_level():
 
 
 # --- generator / validator self-consistency ----------------------------------
+
+@pytest.mark.parametrize("spec", [S1, S2, V], ids=["L1", "L2", "V"])
+def test_walk_monomials_pass_the_public_constructor(spec):
+    # the walk builds its monomials without QPMonomial's checks; rebuilt
+    # through the constructor, each one passes them and is equal
+    for b in iter_basis_monomials(spec, 5):
+        assert QPMonomial(color1=b.color1, color2=b.color2) == b
+
 
 def test_every_enumerated_monomial_revalidates():
     for spec in (S1, S2, V):
