@@ -30,12 +30,10 @@ from .partitions import (
 from .pbw_oracle import POSITIVE_ROOTS, pbw_enumerated, product_side
 from .qp_enum import QPMonomial, enumerate_basis, is_valid, iter_basis_monomials
 from .series import (
-    NonPositiveExponent,
     OutOfTruncation,
     SeriesError,
     TruncatedSeries,
     TruncationMismatch,
-    divide_geometric,
 )
 
 __version__ = "0.1.0"
@@ -59,9 +57,7 @@ __all__ = [
     "iter_basis_monomials",
     "SeriesError",
     "TruncationMismatch",
-    "NonPositiveExponent",
     "OutOfTruncation",
     "TruncatedSeries",
-    "divide_geometric",
     "__version__",
 ]

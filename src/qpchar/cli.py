@@ -194,7 +194,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
     if ns.check == "identity":
         return _report_compare(
             "product", product_side(ns.qmax),
-            "fermionic", character_fermionic(ModuleSpec.verma(), ns.qmax),
+            "fermionic", character_fermionic(ModuleSpec(), ns.qmax),
             "identity",
         )
     if ns.check == "basis":
@@ -214,8 +214,8 @@ def _run_verify(ns: argparse.Namespace) -> int:
         # at qmax the caps of level max(qmax, 1) no longer bind
         level = max(ns.qmax, 1)
         return _report_compare(
-            f"level-{level}", character_fermionic(ModuleSpec.standard(level), ns.qmax),
-            "verma", character_fermionic(ModuleSpec.verma(), ns.qmax),
+            f"level-{level}", character_fermionic(ModuleSpec(level), ns.qmax),
+            "verma", character_fermionic(ModuleSpec(), ns.qmax),
             "stabilize",
         )
     try:

@@ -19,24 +19,34 @@ directly.  A multiset picks, independently for each root, the partition
 formed by the energies of that root's factors, so it lists the partitions
 of every energy up to qmax once, as a table {(energy, number of parts):
 count}, and folds that table over the six roots.  The count never touches
-series arithmetic or `divide_geometric`, so the two agree only if both are
-right.
+series arithmetic or the product's division sweep, so the two agree only
+if both are right.
 """
 
-from .series import TruncatedSeries, divide_geometric, validate_trunc
+from .series import TruncatedSeries, validate_trunc
 
 
 POSITIVE_ROOTS: tuple[tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3))
 
 
 def product_side(qmax: int) -> TruncatedSeries:
-    """The six-fold Euler product, one geometric factor per root and q-step,
-    each divided out of the q-layers of 1 by one `divide_geometric` sweep."""
+    """The six-fold Euler product, one geometric factor per root and q-step.
+
+    Each factor 1/(1 - t), t = q^m y1^a y2^b, is divided out of the series
+    1 in place.  `layers[q]` maps (y1_deg, y2_deg) to the coefficient at
+    q^q, and dividing by 1 - t is the single sweep c[q] += t * c[q - m] in
+    increasing q: each layer it reads has already been divided.
+    """
     validate_trunc(qmax)
     layers: list[dict[tuple[int, int], int]] = [{(0, 0): 1}] + [{} for _ in range(qmax)]
     for a, b in POSITIVE_ROOTS:
         for m in range(1, qmax + 1):
-            divide_geometric(layers, m, a, b)
+            for q in range(m, qmax + 1):
+                dst = layers[q]
+                get = dst.get
+                for (u, v), c in layers[q - m].items():
+                    key = (u + a, v + b)
+                    dst[key] = get(key, 0) + c
     return TruncatedSeries(
         qmax, {(q, u, v): c for q, layer in enumerate(layers) for (u, v), c in layer.items()}
     )

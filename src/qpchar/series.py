@@ -13,10 +13,6 @@ Terms are keyed by plain (q_deg, y1_deg, y2_deg) triples of ints; the
 constructor checks each key and stores it as given.  Zero coefficients are
 never stored, and `terms` is a read-only view, so structural equality of
 the term maps is semantic equality of the truncated series.
-
-`divide_geometric` works instead on a mutable form, one {(y1_deg, y2_deg):
-coeff} dict per q-degree, so a long chain of divisions builds a single
-`TruncatedSeries` at the end.
 """
 
 from collections.abc import Mapping
@@ -29,10 +25,6 @@ class SeriesError(ValueError):
 
 class TruncationMismatch(SeriesError):
     """Two series with different truncation orders were compared."""
-
-
-class NonPositiveExponent(SeriesError):
-    """A geometric factor with q-step < 1 would not truncate to a polynomial."""
 
 
 class OutOfTruncation(SeriesError):
@@ -145,28 +137,3 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(trunc={self.trunc}, {len(self.terms)} terms)"
-
-
-def divide_geometric(layers: list[dict[tuple[int, int], int]], m: int, a: int, b: int) -> None:
-    """Divide, in place, the series held in `layers` by (1 - q^m y1^a y2^b).
-
-    `layers[q]` maps (y1_deg, y2_deg) to the coefficient at q^q, so the
-    truncation is len(layers) - 1.  With t = q^m y1^a y2^b, dividing by
-    1 - t is the single sweep c[q] += t * c[q - m] in increasing q: each
-    layer read has already been divided.  A cancellation may leave a zero
-    entry behind; `TruncatedSeries` drops those when built from the layers.
-    The exponents must be ints (not bools), as truncation orders must.
-    """
-    for name, value in (("m", m), ("a", a), ("b", b)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"exponent {name} must be an int, got {value!r}")
-    if m < 1:
-        raise NonPositiveExponent(f"geometric factor needs q-step >= 1, got {m}")
-    if a < 0 or b < 0:
-        raise ValueError("color exponents must be non-negative")
-    for q in range(m, len(layers)):
-        dst = layers[q]
-        get = dst.get
-        for (u, v), c in layers[q - m].items():
-            key = (u + a, v + b)
-            dst[key] = get(key, 0) + c

@@ -26,10 +26,8 @@ PUBLIC = {
     "iter_basis_monomials",
     "SeriesError",
     "TruncationMismatch",
-    "NonPositiveExponent",
     "OutOfTruncation",
     "TruncatedSeries",
-    "divide_geometric",
     "__version__",
 }
 
@@ -49,7 +47,7 @@ def test_public_api_is_pinned():
 @pytest.mark.parametrize(
     "name",
     ["enumerate_dual_charge_types", "total_exponent", "SeriesKey", "DualChargeType",
-     "PositiveRoot"],
+     "PositiveRoot", "divide_geometric", "NonPositiveExponent"],
 )
 def test_internal_names_not_exported(module, name):
     assert not hasattr(module, name)

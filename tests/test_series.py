@@ -3,24 +3,8 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from oracles import brute_mul
-from qpchar.series import (
-    NonPositiveExponent,
-    OutOfTruncation,
-    TruncatedSeries,
-    TruncationMismatch,
-    divide_geometric,
-)
-
-TRUNC = 4
-
-keys_st = st.tuples(st.integers(0, TRUNC), st.integers(0, 3), st.integers(0, 3))
-series_st = st.dictionaries(keys_st, st.integers(-9, 9), max_size=8).map(
-    lambda d: TruncatedSeries(TRUNC, d)
-)
+from qpchar.series import OutOfTruncation, TruncatedSeries, TruncationMismatch
 
 
 def _one(trunc):
@@ -148,120 +132,6 @@ def test_keys_stored_as_given():
     (stored,) = s.terms
     assert stored is key
     assert s.sorted_terms()[0][0] is key
-
-
-# --- divide_geometric -------------------------------------------------------
-
-def _layers(s: TruncatedSeries) -> list[dict]:
-    layers = [{} for _ in range(s.trunc + 1)]
-    for (q, u, v), c in s.terms.items():
-        layers[q][(u, v)] = c
-    return layers
-
-
-def _series(layers: list[dict]) -> TruncatedSeries:
-    return TruncatedSeries(
-        len(layers) - 1,
-        {(q, u, v): c for q, layer in enumerate(layers) for (u, v), c in layer.items()},
-    )
-
-
-def _geometric(trunc, m, a, b):
-    # 1 / (1 - q^m y1^a y2^b), divided out of the series 1
-    layers = _layers(_one(trunc))
-    divide_geometric(layers, m, a, b)
-    return _series(layers)
-
-
-def test_geometric_factor_basic():
-    assert _geometric(3, 1, 1, 0).sorted_terms() == [
-        ((0, 0, 0), 1),
-        ((1, 1, 0), 1),
-        ((2, 2, 0), 1),
-        ((3, 3, 0), 1),
-    ]
-
-
-def test_geometric_factor_step_two():
-    assert _geometric(5, 2, 1, 3).sorted_terms() == [
-        ((0, 0, 0), 1),
-        ((2, 1, 3), 1),
-        ((4, 2, 6), 1),
-    ]
-
-
-def test_geometric_factor_trunc_zero():
-    assert _geometric(0, 1, 0, 0) == _one(0)
-
-
-def test_geometric_factor_rejects_nonpositive_step():
-    for m in (0, -1):
-        with pytest.raises(NonPositiveExponent):
-            divide_geometric(_layers(_one(3)), m, 1, 0)
-
-
-@pytest.mark.parametrize("a,b", [(-1, 0), (0, -1)])
-def test_divide_geometric_rejects_negative_color(a, b):
-    with pytest.raises(ValueError):
-        divide_geometric(_layers(_one(3)), 1, a, b)
-
-
-@pytest.mark.parametrize(
-    "m,a,b",
-    [(1.0, 1, 0), (True, 1, 0), (1, 0.5, 0), (1, True, 0), (1, 0, 2.0), (1, 0, False)],
-)
-def test_divide_geometric_rejects_non_int_exponent(m, a, b):
-    layers = _layers(_one(3))
-    with pytest.raises(TypeError):
-        divide_geometric(layers, m, a, b)
-    assert layers == _layers(_one(3))
-
-
-@given(
-    series_st,
-    st.integers(1, TRUNC + 1),
-    st.integers(0, 3),
-    st.integers(0, 3),
-)
-def test_divide_geometric_undone_by_factor(s, m, a, b):
-    layers = _layers(s)
-    divide_geometric(layers, m, a, b)
-    factor = {(0, 0, 0): 1, (m, a, b): -1}
-    assert brute_mul(_series(layers).terms, factor, TRUNC) == s.terms
-
-
-def _qpoch_inverse(trunc, r):
-    # 1 / ((1-q)(1-q^2)...(1-q^r)); r = 0 gives 1
-    layers = _layers(_one(trunc))
-    for i in range(1, r + 1):
-        divide_geometric(layers, i, 0, 0)
-    return _series(layers)
-
-
-def test_qpoch_inverse_depth_zero_is_one():
-    assert _qpoch_inverse(4, 0) == _one(4)
-
-
-def test_qpoch_inverse_depth_one():
-    # 1/(1-q)
-    assert _qpoch_inverse(3, 1).counts_by_q() == [1, 1, 1, 1]
-
-
-def _bounded_partition_count(m, max_part):
-    # independent enumeration: partitions of m into parts <= max_part
-    if m == 0:
-        return 1
-    return sum(
-        _bounded_partition_count(m - p, p) for p in range(1, min(m, max_part) + 1)
-    )
-
-
-def test_qpoch_inverse_counts_bounded_partitions():
-    for r in range(4):
-        got = _qpoch_inverse(5, r).counts_by_q()
-        want = [_bounded_partition_count(m, r) for m in range(6)]
-        assert got == want
-    assert _qpoch_inverse(3, 2).counts_by_q() == [1, 1, 2, 2]
 
 
 # --- coeff contract ---------------------------------------------------------
