@@ -6,6 +6,11 @@ as decimal strings so no reader is forced through a float); ``verify`` runs
 one of the cross-method checks and exits 0 on agreement, 1 on the first
 mismatch, 2 on usage errors; either exits 141 if stdout's reader has gone.
 
+Each decision of the command line is made in one table: `METHODS` maps
+each --method name to its call, `PAIRS` names the two methods that each
+cross-method check compares, and `VERIFY_FLAGS` the flags other than
+--check that a check takes (every other check takes --qmax alone).
+
 A command line the parser accepts but the command cannot run (a flag the
 command does not take, a --qmax outside [0, ceiling], a --trials / --seed
 that `verify_conjugation` refuses) raises `_UsageError`; `main` catches it
@@ -34,8 +39,24 @@ from .series import TruncatedSeries
 QMAX_CEILING_DEFAULT = 20
 QMAX_CEILING_ENV = "QPCHAR_QMAX_CEILING"
 
-CHAR_METHODS = ("fermionic", "enumerate", "pbw-product", "pbw-enumerate")
-VERIFY_CHECKS = ("identity", "basis", "pbw", "conjugation", "stabilize")
+# each --method: a call (spec, qmax) -> series.  Each lambda looks its
+# function up on this module when called, where the benchmark's tracer
+# patches it; the pbw methods compute the Verma module's character
+METHODS = {
+    "fermionic": lambda spec, qmax: character_fermionic(spec, qmax),
+    "enumerate": lambda spec, qmax: enumerate_basis(spec, qmax),
+    "pbw-product": lambda spec, qmax: product_side(qmax),
+    "pbw-enumerate": lambda spec, qmax: pbw_enumerated(qmax),
+}
+# the two methods each cross-method check compares, reported in this order
+PAIRS = {
+    "identity": ("pbw-product", "fermionic"),
+    "basis": ("enumerate", "fermionic"),
+    "pbw": ("pbw-enumerate", "pbw-product"),
+}
+VERIFY_CHECKS = (*PAIRS, "conjugation", "stabilize")
+# the flags other than --check that a check takes; any other takes --qmax alone
+VERIFY_FLAGS = {"basis": ("space", "level", "qmax"), "conjugation": ("trials", "seed")}
 
 
 class _UsageError(Exception):
@@ -54,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="L = level-k standard module (needs --level), N = generalized Verma module")
     pc.add_argument("--level", type=int, help="level k >= 1 (L only)")
     pc.add_argument("--qmax", type=int, required=True, help="q-truncation order")
-    pc.add_argument("--method", choices=CHAR_METHODS, default="fermionic")
+    pc.add_argument("--method", choices=METHODS, default="fermionic")
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
 
     pv = sub.add_parser("verify", help="run a cross-method verification")
@@ -82,14 +103,14 @@ def _qmax_ceiling() -> int:
 
 def _check(ns: argparse.Namespace) -> None:
     """Raise _UsageError for a command line the parser accepts but cannot run."""
-    if ns.command == "verify" and ns.check == "conjugation":
-        for flag, value in (("--space", ns.space), ("--level", ns.level),
-                            ("--qmax", ns.qmax)):
-            if value is not None:
-                raise _UsageError(f"{flag} is not valid with --check conjugation")
+    takes = ("space", "level", "qmax")  # char's flags, other than --method and --format
+    if ns.command == "verify":
+        takes = VERIFY_FLAGS.get(ns.check, ("qmax",))
+        for flag in ("space", "level", "qmax", "trials", "seed"):
+            if getattr(ns, flag) is not None and flag not in takes:
+                raise _UsageError(f"--{flag} is not valid with --check {ns.check}")
+    if "qmax" not in takes:
         return
-    if ns.command == "verify" and (ns.trials is not None or ns.seed is not None):
-        raise _UsageError("--trials/--seed are only valid with --check conjugation")
     if ns.qmax is None:
         raise _UsageError("--qmax is required")
     if ns.qmax < 0:
@@ -98,9 +119,7 @@ def _check(ns: argparse.Namespace) -> None:
     if ns.qmax > ceiling:
         raise _UsageError(f"--qmax {ns.qmax} exceeds the ceiling {ceiling}"
                           f" (raise {QMAX_CEILING_ENV} to allow more)")
-    if ns.command == "verify" and ns.check != "basis":
-        if ns.space is not None or ns.level is not None:
-            raise _UsageError(f"--space/--level are not valid with --check {ns.check}")
+    if "space" not in takes:
         return
     if ns.space is None:
         raise _UsageError("--space is required")
@@ -175,49 +194,18 @@ def verify_conjugation(trials: int, seed: int) -> tuple[int, list[str]]:
     return 0, [f"{trials}/{trials} ok"]
 
 
-def _run_char(ns: argparse.Namespace) -> int:
-    # _check allows --level only with --space L, and level None is the Verma module
-    spec = ModuleSpec(ns.level)
-    if ns.method == "fermionic":
-        series = character_fermionic(spec, ns.qmax)
-    elif ns.method == "enumerate":
-        series = enumerate_basis(spec, ns.qmax)
-    elif ns.method == "pbw-product":
-        series = product_side(ns.qmax)
-    else:
-        series = pbw_enumerated(ns.qmax)
-    _write_table(series, ns.format)
-    return 0
-
-
 def _run_verify(ns: argparse.Namespace) -> int:
-    if ns.check == "identity":
-        return _report_compare(
-            "product", product_side(ns.qmax),
-            "fermionic", character_fermionic(ModuleSpec(), ns.qmax),
-            "identity",
-        )
-    if ns.check == "basis":
+    if ns.check in PAIRS:
+        # only basis takes --level; level None is the Verma module
         spec = ModuleSpec(ns.level)
-        return _report_compare(
-            "enumerate", enumerate_basis(spec, ns.qmax),
-            "fermionic", character_fermionic(spec, ns.qmax),
-            f"basis[{spec.describe()}]",
-        )
-    if ns.check == "pbw":
-        return _report_compare(
-            "pbw-enumerate", pbw_enumerated(ns.qmax),
-            "pbw-product", product_side(ns.qmax),
-            "pbw",
-        )
+        a, b = PAIRS[ns.check]
+        label = f"basis[{spec.describe()}]" if ns.check == "basis" else ns.check
+        return _report_compare(a, METHODS[a](spec, ns.qmax), b, METHODS[b](spec, ns.qmax), label)
     if ns.check == "stabilize":
         # at qmax the caps of level max(qmax, 1) no longer bind
-        level = max(ns.qmax, 1)
-        return _report_compare(
-            f"level-{level}", character_fermionic(ModuleSpec(level), ns.qmax),
-            "verma", character_fermionic(ModuleSpec(), ns.qmax),
-            "stabilize",
-        )
+        level, fermionic = max(ns.qmax, 1), METHODS["fermionic"]
+        return _report_compare(f"level-{level}", fermionic(ModuleSpec(level), ns.qmax),
+                               "verma", fermionic(ModuleSpec(), ns.qmax), "stabilize")
     try:
         code, report = verify_conjugation(1000 if ns.trials is None else ns.trials,
                                           0 if ns.seed is None else ns.seed)
@@ -238,7 +226,12 @@ def main(argv=None) -> int:
             code = int(exc.code or 0)
         else:
             _check(ns)
-            code = _run_char(ns) if ns.command == "char" else _run_verify(ns)
+            if ns.command == "char":
+                # _check allows --level only with --space L, and level None is the Verma module
+                _write_table(METHODS[ns.method](ModuleSpec(ns.level), ns.qmax), ns.format)
+                code = 0
+            else:
+                code = _run_verify(ns)
         sys.stdout.flush()
         return code
     except _UsageError as exc:

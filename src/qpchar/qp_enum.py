@@ -94,17 +94,14 @@ class QPMonomial:
         )
 
 
-def _color1_bounds(n1: Partition) -> list[int]:
-    """The stated bound of each color-1 mode.  n1 weakly decreases, so the
-    p earlier charges each add min(n_p, n_q) = n_p."""
-    return [-c * (1 + 2 * p) for p, c in enumerate(n1)]
-
-
-def _color2_bounds(n1: Partition, n2: Partition) -> list[int]:
-    """-f_p(n2_p) per position: the validator's own statement of the bound,
-    reading nothing of `_color2_floor`.  n2 weakly decreases, so the p
-    earlier charges each add min(n_p, n_q) = n_p."""
-    return [sum(min(3 * a, c) for a in n1) - c * (1 + 2 * p) for p, c in enumerate(n2)]
+def _bounds(n1: Partition, charges: Partition) -> list[int]:
+    """The stated bound of each mode of `charges`, a color-2 list beside the
+    color-1 charges n1 (-f_p(c) per position), or the color-1 list itself
+    with n1 = (), since a color-1 mode has no cross term.  The validator's
+    own statement of the bound, reading nothing of `_color2_floor`.  The
+    charges weakly decrease, so the p earlier ones each add
+    min(n_p, n_q) = n_p."""
+    return [sum(min(3 * a, c) for a in n1) - c * (1 + 2 * p) for p, c in enumerate(charges)]
 
 
 def is_valid(b: QPMonomial, spec: ModuleSpec) -> bool:
@@ -120,8 +117,8 @@ def is_valid(b: QPMonomial, spec: ModuleSpec) -> bool:
     if spec.color2_cap is not None and any(n > spec.color2_cap for n in n2):
         return False
     for pairs, bounds in (
-        (b.color1, _color1_bounds(n1)),
-        (b.color2, _color2_bounds(n1, n2)),
+        (b.color1, _bounds((), n1)),
+        (b.color2, _bounds(n1, n2)),
     ):
         for p, (n, m) in enumerate(pairs):
             if m > bounds[p]:
@@ -304,8 +301,10 @@ def _charge_types(spec: ModuleSpec, qmax: int) -> Iterator[tuple[Partition, Part
     lists n1 are the conjugates of `_color1_dual_counts`, and beside each
     `_color2_charge_lists` walks every color-2 list n2 with e2_min <=
     qmax - e1_min, yielding that e2_min.  The difference conditions tie the
-    colors together only through the charges (`_color2_bounds` reads n1,
-    never its modes), so the charge type's monomials are exactly the pairs
+    colors together only through the charges: `_bounds` states each mode's
+    bound from charges alone, a color-2 mode's from n1 and n2 and a
+    color-1 mode's from n1 with no cross term, never from the other
+    color's modes.  So the charge type's monomials are exactly the pairs
     of a color-1 and a color-2 vector with e1 + e2 <= qmax.  Color-2
     energies can be negative, so each color's own budget is qmax minus the
     other color's least energy.  The color-1 vectors are built once per
@@ -318,9 +317,9 @@ def _charge_types(spec: ModuleSpec, qmax: int) -> Iterator[tuple[Partition, Part
         n1 = conjugate(r1)
         e1_min = diag_energy_from_charges(n1)
         lists = list(_color2_charge_lists(n1, qmax - e1_min, spec.color2_cap))
-        vecs1 = _mode_vectors(n1, _color1_bounds(n1), qmax - min(e2_min for _n2, e2_min in lists))
+        vecs1 = _mode_vectors(n1, _bounds((), n1), qmax - min(e2_min for _n2, e2_min in lists))
         for n2, _e2_min in lists:
-            vecs2 = _mode_vectors(n2, _color2_bounds(n1, n2), qmax - e1_min)
+            vecs2 = _mode_vectors(n2, _bounds(n1, n2), qmax - e1_min)
             yield n1, n2, vecs1, vecs2
 
 
@@ -454,7 +453,7 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     top = max(cstar, budget + xs[cstar] - least[cstar][1])
     if cap is not None:
         top = min(top, cap)
-    lo = least[min(top, cstar)][0]
+    lo = least[cstar][0]  # top >= c*, since the cap 3k >= c*
     size = budget - lo + 1  # slots: state energies lo..budget
     stride = 2 * size * width  # bits per y2 degree: `size` slots and a guard as wide
     cuts = [(1 << width * j) - 1 for j in range(size + 1)]  # low j slots

@@ -141,6 +141,20 @@ def test_ceiling_env_read_after_qmax_checks(capsys, monkeypatch, qmax_args, mess
     assert (code, out, err) == (2, "", f"qpchar: error: {message}\n")
 
 
+# each check's label, then its two sides' --method names as reported
+MISMATCH_SIDES = {
+    "identity": ("identity", "pbw-product", "fermionic"),
+    "basis": ("basis[generalized Verma module]", "enumerate", "fermionic"),
+    "pbw": ("pbw", "pbw-enumerate", "pbw-product"),
+}
+METHOD_FUNCTIONS = {
+    "fermionic": "character_fermionic",
+    "enumerate": "enumerate_basis",
+    "pbw-product": "product_side",
+    "pbw-enumerate": "pbw_enumerated",
+}
+
+
 @pytest.mark.parametrize(
     "name,args",
     [
@@ -168,7 +182,39 @@ def test_methods_looked_up_on_cli_module_at_call_time(capsys, monkeypatch, name,
     if args[0] == "char":
         assert (code, out) == (0, "q,y1,y2,coeff\n1,2,3,7\n")
     else:
-        assert code == 1 and "MISMATCH" in out
+        # the fake lacks the constant term 1, so both sides first differ at q^0,
+        # and the MISMATCH line names each side by its --method name
+        label, a, b = MISMATCH_SIDES[args[2]]
+        ca, cb = (0 if METHOD_FUNCTIONS[side] == name else 1 for side in (a, b))
+        assert (code, out) == (1, f"{label}: MISMATCH at q^0 y1^0 y2^0: {a}={ca}, {b}={cb}\n")
+
+
+# --- verify flags -----------------------------------------------------------
+
+# a command line each check accepts, and the flags other than --check it takes
+VALID_FLAGS = {
+    "identity": {"qmax": "0"},
+    "basis": {"space": "N", "qmax": "0"},
+    "pbw": {"qmax": "0"},
+    "conjugation": {"trials": "1", "seed": "0"},
+    "stabilize": {"qmax": "0"},
+}
+TAKES = {"basis": ("space", "level", "qmax"), "conjugation": ("trials", "seed")}
+FLAG_VALUES = {"space": "N", "level": "1", "qmax": "0", "trials": "1", "seed": "0"}
+
+
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+@pytest.mark.parametrize("check", list(VALID_FLAGS))
+def test_verify_flag_table(capsys, check, flag):
+    flags = {**VALID_FLAGS[check], flag: FLAG_VALUES[flag]}
+    if flag == "level" and "space" in flags:
+        flags["space"] = "L"  # --level needs --space L
+    argv = [word for f, value in flags.items() for word in (f"--{f}", value)]
+    code, out, err = run(capsys, "verify", "--check", check, *argv)
+    if flag in TAKES.get(check, ("qmax",)):
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (2, "", f"qpchar: error: --{flag} is not valid with --check {check}\n")
 
 
 # --- verify -----------------------------------------------------------------
