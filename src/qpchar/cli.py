@@ -12,16 +12,15 @@ cross-method check compares, and `VERIFY_FLAGS` the flags other than
 --check that a check takes (every other check takes --qmax alone).
 
 A command line the parser accepts but the command cannot run (a flag the
-command does not take, a --qmax outside [0, ceiling], a --trials / --seed
-that `verify_conjugation` refuses) raises `_UsageError`; `main` catches it
-in one place, prints ``qpchar: error: <msg>`` and returns 2, as argparse
-does for its own errors.  The ceiling, `QPCHAR_QMAX_CEILING`, is read only
-once a --qmax is present and >= 0.
+command does not take, a --qmax outside [0, ceiling]) raises `_UsageError`;
+`main` catches it in one place, prints ``qpchar: error: <msg>`` and returns
+2, as argparse does for its own errors.  The ceiling, `QPCHAR_QMAX_CEILING`,
+is read only once --qmax is known to be >= 0.
 """
 
 import argparse
+import itertools
 import os
-import random
 import sys
 
 from .fermionic import ModuleSpec, character_fermionic
@@ -34,7 +33,7 @@ from .partitions import (
 )
 from .pbw_oracle import pbw_enumerated, product_side
 from .qp_enum import enumerate_basis
-from .series import TruncatedSeries
+from .series import TruncatedSeries, validate_trunc
 
 QMAX_CEILING_DEFAULT = 20
 QMAX_CEILING_ENV = "QPCHAR_QMAX_CEILING"
@@ -56,7 +55,7 @@ PAIRS = {
 }
 VERIFY_CHECKS = (*PAIRS, "conjugation", "stabilize")
 # the flags other than --check that a check takes; any other takes --qmax alone
-VERIFY_FLAGS = {"basis": ("space", "level", "qmax"), "conjugation": ("trials", "seed")}
+VERIFY_FLAGS = {"basis": ("space", "level", "qmax")}
 
 
 class _UsageError(Exception):
@@ -83,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--space", choices=("L", "N"), help="basis check only")
     pv.add_argument("--level", type=int, help="basis check with --space L")
     pv.add_argument("--qmax", type=int)
-    pv.add_argument("--trials", type=int, help="conjugation check only (default 1000)")
-    pv.add_argument("--seed", type=int, help="conjugation check only (default 0)")
     return parser
 
 
@@ -106,11 +103,9 @@ def _check(ns: argparse.Namespace) -> None:
     takes = ("space", "level", "qmax")  # char's flags, other than --method and --format
     if ns.command == "verify":
         takes = VERIFY_FLAGS.get(ns.check, ("qmax",))
-        for flag in ("space", "level", "qmax", "trials", "seed"):
+        for flag in ("space", "level", "qmax"):
             if getattr(ns, flag) is not None and flag not in takes:
                 raise _UsageError(f"--{flag} is not valid with --check {ns.check}")
-    if "qmax" not in takes:
-        return
     if ns.qmax is None:
         raise _UsageError("--qmax is required")
     if ns.qmax < 0:
@@ -155,43 +150,51 @@ def _report_compare(name_a: str, a: TruncatedSeries, name_b: str, b: TruncatedSe
     return 1
 
 
-def _random_partition(rng: random.Random) -> tuple[int, ...]:
-    length = rng.randint(0, 12)
-    return tuple(sorted((rng.randint(1, 12) for _ in range(length)), reverse=True))
+def _partitions_through(qmax: int) -> list[list[tuple[int, ...]]]:
+    """Entry n lists the partitions of n, in reverse lexicographic order.
 
-
-def verify_conjugation(trials: int, seed: int) -> tuple[int, list[str]]:
-    """Seeded randomized check of the conjugation energy identities.
-
-    Per trial: conjugation is an involution preserving the part sum, the
-    same-color energies agree across conjugation, and the cross-color
-    energies agree on an independent pair.  Returns (exit_code, report).
-    `trials` must be an int (not a bool) >= 1, and `seed` an int (not a
-    bool) in [0, 2**64); both are checked before the first trial, and the
-    command line takes its --trials / --seed rule from here.
+    Listed here by a recursion over the largest part, not by `partitions`,
+    so that the list the checks run over does not rest on what they check.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise TypeError(f"trials must be an int, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise TypeError(f"seed must be an int, got {seed!r}")
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    rng = random.Random(seed)
-    for t in range(trials):
-        p = _random_partition(rng)
-        dual = conjugate(p)
+    def starting_at_most(n: int, largest: int):
+        if n == 0:
+            yield ()
+        for first in range(min(n, largest), 0, -1):
+            for rest in starting_at_most(n - first, first):
+                yield (first, *rest)
+
+    return [list(starting_at_most(n, n)) for n in range(qmax + 1)]
+
+
+def verify_conjugation(qmax: int) -> tuple[int, list[str]]:
+    """Exhaustive check of the conjugation energy identities through size qmax.
+
+    On every partition p with |p| <= qmax: conjugation is an involution
+    preserving the part sum, and the same-color energies agree across it.
+    On every pair (n1, n2) with |n1| + |n2| <= qmax: the cross-color
+    energies agree.  Returns (exit_code, report), the report one line that
+    names the first failing input: partitions are listed by size, and the
+    pairs after them, by n1 and then n2.
+    Raises as `series.validate_trunc` for a qmax that is not an int >= 0.
+    """
+    validate_trunc(qmax)
+    by_size = _partitions_through(qmax)
+    duals = {}  # each partition's conjugate, in listing order
+    for p in itertools.chain.from_iterable(by_size):
+        dual = duals[p] = conjugate(p)
         if conjugate(dual) != p or sum(dual) != sum(p):
-            return 1, [f"trial {t}: conjugation failed on {p}"]
+            return 1, [f"conjugation failed on {p}"]
         if diag_energy_from_charges(p) != diag_energy_from_dual(dual):
-            return 1, [f"trial {t}: same-color energy mismatch on {p}"]
-        n1 = _random_partition(rng)
-        n2 = _random_partition(rng)
-        r1, r2 = conjugate(n1), conjugate(n2)
-        if mixed_energy_from_charges(n1, n2) != mixed_energy_from_dual(r1, r2):
-            return 1, [f"trial {t}: cross-color energy mismatch on {n1} / {n2}"]
-    return 0, [f"{trials}/{trials} ok"]
+            return 1, [f"same-color energy mismatch on {p}"]
+    pairs = 0
+    for size1, group1 in enumerate(by_size):
+        for n1 in group1:
+            for group2 in by_size[:qmax - size1 + 1]:
+                for n2 in group2:
+                    if mixed_energy_from_charges(n1, n2) != mixed_energy_from_dual(duals[n1], duals[n2]):
+                        return 1, [f"cross-color energy mismatch on {n1} / {n2}"]
+                pairs += len(group2)
+    return 0, [f"conjugation: ok (qmax={qmax}, {len(duals)} partitions, {pairs} pairs)"]
 
 
 def _run_verify(ns: argparse.Namespace) -> int:
@@ -206,13 +209,7 @@ def _run_verify(ns: argparse.Namespace) -> int:
         level, fermionic = max(ns.qmax, 1), METHODS["fermionic"]
         return _report_compare(f"level-{level}", fermionic(ModuleSpec(level), ns.qmax),
                                "verma", fermionic(ModuleSpec(), ns.qmax), "stabilize")
-    try:
-        code, report = verify_conjugation(1000 if ns.trials is None else ns.trials,
-                                          0 if ns.seed is None else ns.seed)
-    except ValueError as exc:
-        # its range check of trials and seed, made before the first trial;
-        # the message starts with the argument's name
-        raise _UsageError(f"--{exc}") from None
+    code, report = verify_conjugation(ns.qmax)
     for line in report:
         print(line)
     return code

@@ -35,7 +35,10 @@ Partition = tuple[int, ...]
 
 def validate_partition(p: Partition) -> None:
     """Raise ValueError unless p is a weakly decreasing tuple of positive
-    ints; bools are refused."""
+    ints; bools are refused, and so is any other iterable, which the
+    energies would read a second time."""
+    if not isinstance(p, tuple):
+        raise ValueError(f"a partition must be a tuple: {p!r}")
     prev = None
     for x in p:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:

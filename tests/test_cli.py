@@ -85,10 +85,10 @@ def test_char_deterministic(capsys):
         ("char", "--space", "N", "--qmax", "21"),  # above the default ceiling
         ("verify", "--check", "basis", "--qmax", "4"),  # missing space
         ("verify", "--check", "identity", "--qmax", "4", "--space", "N"),
-        ("verify", "--check", "identity", "--qmax", "4", "--trials", "10"),
-        ("verify", "--check", "conjugation", "--qmax", "4"),
-        ("verify", "--check", "conjugation", "--trials", "0"),
-        ("verify", "--check", "conjugation", "--seed", "-1"),
+        ("verify", "--check", "conjugation"),  # missing qmax
+        ("verify", "--check", "conjugation", "--qmax", "-1"),
+        ("verify", "--check", "conjugation", "--qmax", "4", "--space", "N"),
+        ("verify", "--check", "conjugation", "--qmax", "21"),  # above the default ceiling
         ("verify", "--check", "identity"),  # missing qmax
     ],
 )
@@ -122,12 +122,6 @@ def test_ceiling_env_must_not_be_negative(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--check", "pbw", "--qmax", "0")
     assert code == 2 and out == ""
     assert QMAX_CEILING_ENV in err and "exceeds" not in err
-
-
-def test_ceiling_env_read_only_with_qmax(capsys, monkeypatch):
-    monkeypatch.setenv(QMAX_CEILING_ENV, "plenty")
-    code, out, err = run(capsys, "verify", "--check", "conjugation", "--trials", "5")
-    assert (code, out, err) == (0, "5/5 ok\n", "")
 
 
 @pytest.mark.parametrize(
@@ -196,11 +190,11 @@ VALID_FLAGS = {
     "identity": {"qmax": "0"},
     "basis": {"space": "N", "qmax": "0"},
     "pbw": {"qmax": "0"},
-    "conjugation": {"trials": "1", "seed": "0"},
+    "conjugation": {"qmax": "0"},
     "stabilize": {"qmax": "0"},
 }
-TAKES = {"basis": ("space", "level", "qmax"), "conjugation": ("trials", "seed")}
-FLAG_VALUES = {"space": "N", "level": "1", "qmax": "0", "trials": "1", "seed": "0"}
+TAKES = {"basis": ("space", "level", "qmax")}
+FLAG_VALUES = {"space": "N", "level": "1", "qmax": "0"}
 
 
 @pytest.mark.parametrize("flag", list(FLAG_VALUES))
@@ -257,38 +251,18 @@ def test_verify_stabilize(capsys):
 
 
 def test_verify_conjugation_report_and_determinism(capsys):
-    args = ("verify", "--check", "conjugation", "--trials", "40", "--seed", "7")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert "40/40 ok" in out
-    assert run(capsys, *args) == (code, out, "")
+    for qmax, partitions, pairs in ((8, 67, 434), (12, 272, 3132)):
+        args = ("verify", "--check", "conjugation", "--qmax", str(qmax))
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (
+            0, f"conjugation: ok (qmax={qmax}, {partitions} partitions, {pairs} pairs)\n", "")
+        assert run(capsys, *args) == (code, out, err)
 
 
-def test_verify_conjugation_default_trials(capsys):
-    code, out, _ = run(capsys, "verify", "--check", "conjugation")
-    assert code == 0
-    assert "1000/1000 ok" in out
-
-
-@pytest.mark.parametrize("trials,error", [(0, ValueError), (-3, ValueError),
-                                          (2.0, TypeError), (True, TypeError)])
-def test_verify_conjugation_rejects_bad_trials(trials, error):
+@pytest.mark.parametrize("qmax,error", [(-1, ValueError), (2.0, TypeError), (True, TypeError)])
+def test_verify_conjugation_rejects_bad_qmax(qmax, error):
     with pytest.raises(error):
-        verify_conjugation(trials, 0)
-
-
-@pytest.mark.parametrize("seed,error", [(-1, ValueError), (2 ** 64, ValueError),
-                                        (2 ** 70, ValueError), (1.5, TypeError),
-                                        (True, TypeError)])
-def test_verify_conjugation_rejects_bad_seed(seed, error):
-    # seed -1 would silently rerun the trials of seed 1
-    with pytest.raises(error):
-        verify_conjugation(10, seed)
-
-
-def test_verify_conjugation_accepts_seed_range_ends():
-    assert verify_conjugation(5, 0)[0] == 0
-    assert verify_conjugation(5, 2 ** 64 - 1)[0] == 0
+        verify_conjugation(qmax)
 
 
 @pytest.mark.parametrize(
@@ -301,10 +275,22 @@ def test_verify_conjugation_accepts_seed_range_ends():
 )
 def test_verify_conjugation_fails_on_a_broken_identity(capsys, monkeypatch, name, wrong, failed):
     monkeypatch.setattr(cli, name, wrong)
-    code, report = verify_conjugation(10, 0)
+    code, report = verify_conjugation(4)
     assert code == 1 and len(report) == 1 and failed in report[0]
-    code, out, _ = run(capsys, "verify", "--check", "conjugation")
+    code, out, _ = run(capsys, "verify", "--check", "conjugation", "--qmax", "4")
     assert code == 1 and out == report[0] + "\n"
+
+
+def test_verify_conjugation_catches_a_dropped_block(capsys, monkeypatch):
+    # block s >= 2 needs a color-1 charge >= 2 beside a color-2 charge >= 4,
+    # so no pair of total size below 6 shows the loss
+    def first_block_only(r1, r2):
+        return r1[0] * sum(r2[:3]) if r1 else 0
+
+    monkeypatch.setattr(cli, "mixed_energy_from_dual", first_block_only)
+    assert run(capsys, "verify", "--check", "conjugation", "--qmax", "4")[0] == 0
+    code, out, err = run(capsys, "verify", "--check", "conjugation", "--qmax", "8")
+    assert (code, out, err) == (1, "cross-color energy mismatch on (2,) / (4,)\n", "")
 
 
 # --- mismatch reporting -----------------------------------------------------

@@ -25,10 +25,21 @@ def test_validate_partition_accepts_valid():
         validate_partition(p)
 
 
-@pytest.mark.parametrize("bad", [(1, 2), (0,), (-1,), (2, 0), (True,), (2, True), (1.0,)])
+# a list, and a one-shot iterator that the energies would read a second
+# time; each case makes its own iterator, as one shared between cases runs dry
+NOT_TUPLES = [pytest.param(lambda: [2, 1], id="list"),
+              pytest.param(lambda: iter((2, 1)), id="fresh_iterator")]
+
+
+def _make(p):
+    return p() if callable(p) else p
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (0,), (-1,), (2, 0), (True,), (2, True), (1.0,),
+                                 *NOT_TUPLES])
 def test_validate_partition_rejects(bad):
     with pytest.raises(ValueError):
-        validate_partition(bad)
+        validate_partition(_make(bad))
 
 
 @pytest.mark.parametrize("p", [(3, 0), (-1,), (True,), (1, 2)])
@@ -37,7 +48,7 @@ def test_conjugate_rejects_non_partitions(p):
         conjugate(p)
 
 
-@pytest.mark.parametrize("p", [(1, 2), (True,), (-1,), (3, 0), (1.0,)])
+@pytest.mark.parametrize("p", [(1, 2), (True,), (-1,), (3, 0), (1.0,), *NOT_TUPLES])
 @pytest.mark.parametrize(
     "energy",
     [
@@ -53,7 +64,7 @@ def test_conjugate_rejects_non_partitions(p):
 )
 def test_energy_conversions_reject_non_partitions(energy, p):
     with pytest.raises(ValueError):
-        energy(p)
+        energy(_make(p))
 
 
 def test_conjugate_examples():
