@@ -27,8 +27,7 @@ len(r2) <= 3k, so the level-k caps become "at most k blocks".
 from dataclasses import dataclass
 from math import isqrt
 
-from .partitions import _slot_width
-from .series import TruncatedSeries, validate_trunc
+from .series import TruncatedSeries, _from_packed, _pack, _slot_width, validate_trunc
 
 
 @dataclass(frozen=True)
@@ -126,14 +125,13 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     product prod_d 1/(q)_d is multiplied out of that table the first time
     its differences occur and looked up by them after that.
 
-    States, totals, the factors and their products are held packed: the
-    coefficients through q^qmax in one int, `width` bits per power of q
-    (Kronecker substitution).  A step is then one multiply, a shift by the
-    exponent share and a mask to the truncation, and the lowest power a
-    state holds is its lowest set bit.  The width is `_slot_width(qmax)`,
-    fixed before any packing.  The packing is exact because no slot through
-    q^qmax can reach 2^width, and every count is >= 0, so such a slot holds
-    its true value:
+    States, totals, the factors and their products are held in the packed
+    form of `series` (`_pack`), `_slot_width(qmax)` bits per power of q,
+    and the totals are turned into the series once (`_from_packed`).  A
+    step is then one multiply, a shift by the exponent share and a mask to
+    the truncation, and the lowest power a state holds is its lowest set
+    bit.  The packing is exact because no slot through q^qmax can reach
+    2^width, and every count is >= 0, so such a slot holds its true value:
     * a product prod_d 1/(q)_d, finished or partial, has at most four
       factors, so its coefficients are at most those of
       prod_{m>=1} (1-q^m)^-4, below those of the six-root product;
@@ -145,8 +143,6 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
       (y1, y2) degree;
     * `_coefficient_bound(qmax)` bounds every character coefficient
       through q^qmax.
-    Slots past the truncation may overflow, but a carry moves only upward
-    and is masked away.
     """
     validate_spec(spec)
     validate_trunc(qmax)
@@ -158,7 +154,7 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     for d in range(1, qmax + 1):
         for j in range(d, qmax + 1):
             coeffs[j] += coeffs[j - d]
-        inv.append(sum(c << j * width for j, c in enumerate(coeffs)))
+        inv.append(_pack(coeffs, width))
     by_diffs: dict[tuple[int, ...], int] = {}
 
     def product(diffs: tuple[int, ...]) -> int:
@@ -198,14 +194,4 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
                     key = (a2, z, nu, nv, nleft)
                     step = (coeffs * product(diffs) << e * width) & mask
                     layer[key] = layer.get(key, 0) + step
-    slot = (1 << width) - 1
-    terms = {}
-    for (u, v), total in totals.items():
-        q = 0
-        while total:
-            c = total & slot
-            if c:
-                terms[q, u, v] = c
-            total >>= width
-            q += 1
-    return TruncatedSeries(qmax, terms)
+    return _from_packed(qmax, width, totals)

@@ -24,10 +24,6 @@ counts r2^(3s-2), r2^(3s-1), r2^(3s).  The factor three is the number of
 times the short simple root fits into the long one's pairing.  The q-exponent
 of the character term indexed by (r1, r2) is the two diagonal energies from
 the dual side minus the mixed one.
-
-`_slot_width` sizes the slots of the packed q-coefficient lists in the
-fermionic sum and the basis count, from a count of six-colored partitions
-that bounds every character coefficient.
 """
 
 Partition = tuple[int, ...]
@@ -110,37 +106,3 @@ def mixed_energy_from_dual(r1: Partition, r2: Partition) -> int:
         total += r1[s - 1] * triple
     return total
 
-
-def _coefficient_bound(qmax: int) -> int:
-    """The largest coefficient through q^qmax of prod_{m>=1} (1-q^m)^-6.
-
-    Entry j of the one-variable DP below counts the multisets of (root,
-    positive energy) pairs totalling j, over six roots: the six-root
-    product's coefficients at q^j summed over y1 and y2, so at least each
-    of them.  By the generalized Euler-Cauchy identity that product is the
-    cap-free character.  A level-k character's coefficients are at most
-    the cap-free ones: its fermionic sum keeps only some of the
-    non-negative terms, its basis only some of the monomials.  So no
-    character coefficient through q^qmax exceeds the bound.  The packed
-    kernels of `character_fermionic` and `enumerate_basis` argue that each
-    of their slots counts at most such a coefficient.
-    """
-    dp = [1] + [0] * qmax
-    for _ in range(6):
-        for part in range(1, qmax + 1):
-            for j in range(part, qmax + 1):
-                dp[j] += dp[j - part]
-    return max(dp)
-
-
-def _slot_width(qmax: int) -> int:
-    """Bits per slot when a q-coefficient list truncated at q^qmax is
-    packed into one int, slot j holding the coefficient of q^j (Kronecker
-    substitution): the bit length of `_coefficient_bound(qmax)`.
-
-    With all counts >= 0 and every true count through q^qmax below
-    2^width, a carry can start only in a slot past the truncation, and it
-    moves upward, into slots that are masked away; so the slots through
-    q^qmax are exact.
-    """
-    return _coefficient_bound(qmax).bit_length()

@@ -59,8 +59,8 @@ from itertools import groupby
 from typing import Callable, Iterator
 
 from .fermionic import ModuleSpec, validate_spec
-from .partitions import Partition, _slot_width, conjugate, diag_energy_from_charges, validate_partition
-from .series import TruncatedSeries, validate_trunc
+from .partitions import Partition, conjugate, diag_energy_from_charges, validate_partition
+from .series import TruncatedSeries, _from_packed, _pack, _slot_width, _slots, validate_trunc
 
 ChargedModes = tuple[tuple[int, int], ...]
 ModeVectors = list[tuple[int, tuple[int, ...]]]  # (energy, modes), sorted by energy
@@ -69,13 +69,17 @@ ModeVectors = list[tuple[int, tuple[int, ...]]]  # (energy, modes), sorted by en
 @dataclass(frozen=True)
 class QPMonomial:
     """A two-color quasi-particle monomial: (charge, mode) pairs per color,
-    charges weakly decreasing."""
+    charges weakly decreasing.  Each color is a tuple of (charge, mode)
+    tuples; anything else raises ValueError, as a one-shot iterator would
+    be used up by the checks and a list would leave the value unhashable."""
 
     color1: ChargedModes = ()
     color2: ChargedModes = ()
 
     def __post_init__(self):
         for pairs in (self.color1, self.color2):
+            if not isinstance(pairs, tuple) or not all(isinstance(pair, tuple) for pair in pairs):
+                raise ValueError(f"a color must be a tuple of (charge, mode) tuples: {pairs!r}")
             validate_partition(tuple(n for n, _m in pairs))
             for _n, m in pairs:
                 if not isinstance(m, int) or isinstance(m, bool):
@@ -434,8 +438,7 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     monomials at that energy.  That number is at most the cap-free one,
     the six-root product's coefficient at y1 = y2 = 1, and so at most
     `_coefficient_bound(qmax)`.  The packed T_l count partitions into at
-    most l parts, which is smaller still.  Slots past `budget` may
-    overflow, but a carry moves only upward and is masked away.
+    most l parts, which is smaller still.
 
     Two more steps keep the blocks of a row apart.  Block guard: a block
     is below 2^(size * width) and T_l cut to size - d slots is below
@@ -443,7 +446,8 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     below 2^stride.  All of them are >= 0, so the row's product is the
     blocks' products side by side, and none reaches the next block; the
     rows' final sum holds true counts in every slot, so it carries
-    nowhere.  Row drop: a floor shift of s slots keeps a block below
+    nowhere, its guards are 0, and its blocks of `stride` bits are the
+    counts.  Row drop: a floor shift of s slots keeps a block below
     2^((size + s) * width), inside its stride while s <= size.  A shift
     of `size` slots or more leaves no slot within the budget, so it sets
     the row to 0 and never shifts it, since that would cross blocks.
@@ -457,8 +461,7 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     size = budget - lo + 1  # slots: state energies lo..budget
     stride = 2 * size * width  # bits per y2 degree: `size` slots and a guard as wide
     cuts = [(1 << width * j) - 1 for j in range(size + 1)]  # low j slots
-    block = cuts[size]
-    rep, rep_bits = block, stride  # `block` in each of the first rep_bits / stride blocks
+    rep, rep_bits = cuts[size], stride  # `size` slots in each of the first rep_bits / stride blocks
     # rows[p]: the states of p particles so far, block v the packed counts of
     # y2 degree v, slot j at state energy lo + j; one row per position of least
     rows = [1] + [0] * (len(least[0]) - 1)
@@ -488,15 +491,7 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
                 rows[p] = 0  # shifting could carry a block into the next
             elif shift:
                 rows[p] = (row << shift * width) & rep
-    counts: dict[int, int] = {}
-    total = sum(rows)
-    v = 0
-    while total:
-        if total & block:
-            counts[v] = total & block
-        total >>= stride
-        v += 1
-    return lo, counts
+    return lo, dict(_slots(sum(rows), stride))
 
 
 def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
@@ -520,7 +515,7 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     j above the histogram's base.  The width is fixed before any packing.
     A pairing is then one multiply per (n1, y2 degree), shifted up to
     energy e1 + lo and added to a packed total per (y1, y2) degree.  The
-    totals are unpacked once, into the series.
+    totals are turned into the series once (`_from_packed`).
 
     The packing is exact because no slot through q^qmax can reach
     2^width, and all counts are >= 0, so such a slot holds its true count.
@@ -530,8 +525,7 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     maps it injectively to a basis monomial at the slot's energy.  So the
     slot is at most a character coefficient summed over y1, y2, which
     `_coefficient_bound` bounds.  `_color2_counts` argues the same for its
-    own slots.  Slots past the truncation may overflow, but a carry moves
-    only upward and is masked away.
+    own slots.
     """
     validate_spec(spec)
     validate_trunc(qmax)
@@ -539,10 +533,7 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
 
     @cache
     def slack(length: int) -> int:
-        run = 0
-        for n in reversed(_run_slack(length, qmax)):
-            run = run << width | n
-        return run
+        return _pack(_run_slack(length, qmax), width)
 
     totals: dict[tuple[int, int], int] = {}
     for r1 in _color1_dual_counts(spec, qmax):
@@ -557,14 +548,4 @@ def enumerate_basis(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
         y1, base = sum(n1), (e1 + lo) * width
         for v, cnt in counts2.items():
             totals[y1, v] = totals.get((y1, v), 0) + ((hist1 * cnt & mask) << base)
-    slot = (1 << width) - 1
-    terms: dict[tuple[int, int, int], int] = {}
-    for (y1, v), total in totals.items():
-        q = 0
-        while total:
-            n = total & slot
-            if n:
-                terms[q, y1, v] = n
-            total >>= width
-            q += 1
-    return TruncatedSeries(qmax, terms)
+    return _from_packed(qmax, width, totals)

@@ -9,13 +9,19 @@ and discarded beyond that.  Comparing two series with `first_mismatch`
 requires equal truncations; a mismatch is always a caller bug and raises
 instead of being silently reconciled.
 
-Terms are keyed by plain (q_deg, y1_deg, y2_deg) triples of ints; the
+Terms are keyed by plain (q_deg, y1_deg, y2_deg) tuples of three ints; the
 constructor checks each key and stores it as given.  Zero coefficients are
 never stored, and `terms` is a read-only view, so structural equality of
 the term maps is semantic equality of the truncated series.
+
+The two packed kernels, the fermionic sum and the basis count, hold a
+truncated q-coefficient list as one int with a fixed-width slot per power
+of q (Kronecker substitution).  That format lives here: `_slot_width` sizes
+the slots, `_pack` and `_slots` convert, and `_from_packed` builds a series
+from packed totals.
 """
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 
 
@@ -40,15 +46,16 @@ def validate_trunc(trunc) -> None:
 
 
 def _check_keys(keys, trunc: int) -> None:
-    """Raise, naming the key, ValueError for a key of other than three
-    entries or with a negative exponent, TypeError for one that is not
-    iterable or has entries other than ints (bools refused), and
-    OutOfTruncation for a q-degree beyond `trunc`."""
+    """Raise, naming the key, TypeError for a key that is not a tuple or has
+    entries other than ints (bools refused), ValueError for one of other
+    than three entries or with a negative exponent, and OutOfTruncation for
+    a q-degree beyond `trunc`."""
     for key in keys:
-        try:
-            q, u, v = key
-        except (TypeError, ValueError) as exc:
-            raise type(exc)(f"key {key!r} is not a triple (q, y1, y2)") from None
+        if not isinstance(key, tuple):
+            raise TypeError(f"key {key!r} is not a tuple (q, y1, y2)")
+        if len(key) != 3:
+            raise ValueError(f"key {key!r} is not a triple (q, y1, y2)")
+        q, u, v = key
         if type(q) is not int or type(u) is not int or type(v) is not int:
             raise TypeError(f"exponents in key {key!r} must be ints")
         if q < 0 or u < 0 or v < 0:
@@ -63,8 +70,8 @@ class TruncatedSeries:
     Instances are immutable after construction and safe to share: `terms`
     is a read-only view of the nonzero terms.  Pickling and copying
     rebuild a series through the constructor.  `terms` is a mapping or
-    None; anything else raises TypeError.  Keys are triples of ints >= 0
-    and coefficients are ints; bools are refused for both.
+    None; anything else raises TypeError.  Keys are tuples of three
+    ints >= 0 and coefficients are ints; bools are refused for both.
     """
 
     __slots__ = ("trunc", "terms")
@@ -97,7 +104,7 @@ class TruncatedSeries:
         constructor checks keys: OutOfTruncation when the q-degree exceeds
         the truncation order (the value is unknown there), ValueError when
         it has other than three entries or one below 0, and TypeError when
-        it is not iterable or an entry is not an int; each names the key."""
+        it is not a tuple or an entry is not an int; each names the key."""
         _check_keys((key,), self.trunc)
         return self.terms.get(key, 0)
 
@@ -137,3 +144,81 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(trunc={self.trunc}, {len(self.terms)} terms)"
+
+
+def _coefficient_bound(qmax: int) -> int:
+    """The largest coefficient through q^qmax of prod_{m>=1} (1-q^m)^-6.
+
+    Entry j of the one-variable DP below counts the multisets of (root,
+    positive energy) pairs totalling j, over six roots: the six-root
+    product's coefficients at q^j summed over y1 and y2, so at least each
+    of them.  By the generalized Euler-Cauchy identity that product is the
+    cap-free character.  A level-k character's coefficients are at most
+    the cap-free ones: its fermionic sum keeps only some of the
+    non-negative terms, its basis only some of the monomials.  So no
+    character coefficient through q^qmax exceeds the bound.  The packed
+    kernels of `character_fermionic` and `enumerate_basis` argue that each
+    of their slots counts at most such a coefficient.
+    """
+    dp = [1] + [0] * qmax
+    for _ in range(6):
+        for part in range(1, qmax + 1):
+            for j in range(part, qmax + 1):
+                dp[j] += dp[j - part]
+    return max(dp)
+
+
+def _slot_width(qmax: int) -> int:
+    """Bits per slot when a q-coefficient list truncated at q^qmax is
+    packed into one int, slot j holding the coefficient of q^j (Kronecker
+    substitution): the bit length of `_coefficient_bound(qmax)`.
+
+    With all counts >= 0 and every true count through q^qmax below
+    2^width, a carry can start only in a slot past the truncation, and it
+    moves upward, into slots that are masked away; so the slots through
+    q^qmax are exact.
+    """
+    return _coefficient_bound(qmax).bit_length()
+
+
+def _pack(coeffs, width: int) -> int:
+    """The coefficients packed into one int: slot j, bits j * width up to
+    (j + 1) * width, holds `coeffs[j]`.  Each must be >= 0 and below
+    2^width."""
+    return sum(c << j * width for j, c in enumerate(coeffs))
+
+
+def _slots(packed: int, width: int) -> Iterator[tuple[int, int]]:
+    """Yield (j, slot j) for each nonzero `width`-bit slot of `packed`,
+    lowest first; `packed` must be >= 0."""
+    slot = (1 << width) - 1
+    j = 0
+    while packed:
+        c = packed & slot
+        if c:
+            yield j, c
+        packed >>= width
+        j += 1
+
+
+def _from_packed(trunc: int, width: int, totals: Mapping[tuple[int, int], int]) -> TruncatedSeries:
+    """The series whose terms at q^j y1^u y2^v are the slots j of
+    `totals[u, v]`, each packed at `width` bits a slot.
+
+    The kernels make every key from ints and every slot is an int >= 0,
+    so the series is built directly, without the constructor's per-key
+    checks.  A total with a bit past slot `trunc` would make a key beyond
+    the truncation (a carry that escaped the mask), so it raises
+    OutOfTruncation.
+    """
+    bits = width * (trunc + 1)
+    terms: dict[tuple[int, int, int], int] = {}
+    for (u, v), total in totals.items():
+        if total.bit_length() > bits:
+            raise OutOfTruncation(f"packed total at y1^{u} y2^{v} has bits past slot {trunc}")
+        for q, c in _slots(total, width):
+            terms[q, u, v] = c
+    series = object.__new__(TruncatedSeries)
+    object.__setattr__(series, "trunc", trunc)
+    object.__setattr__(series, "terms", MappingProxyType(terms))
+    return series

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import colored_partition_counts, total_exponent
+from oracles import total_exponent
 from qpchar.partitions import (
-    _coefficient_bound,
-    _slot_width,
     conjugate,
     diag_energy_from_charges,
     diag_energy_from_dual,
@@ -13,7 +11,6 @@ from qpchar.partitions import (
     mixed_energy_from_dual,
     validate_partition,
 )
-from qpchar.pbw_oracle import product_side
 
 partitions_st = st.lists(st.integers(1, 15), max_size=10).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -134,17 +131,3 @@ def test_total_exponent_positive_definite(r1, r2):
     # each block (a; x, y, z) is a^2/4 + sum of (x - a/2)^2, hence the floor
     assert 4 * e >= sum(x * x for x in r1)
 
-
-# --- the slot width of the packed kernels ------------------------------------
-
-def test_coefficient_bound_is_largest_six_root_coefficient():
-    for qmax in range(25):
-        bound = _coefficient_bound(qmax)
-        assert bound == max(colored_partition_counts(qmax)), qmax
-        assert bound == max(product_side(qmax).counts_by_q()), qmax
-
-
-@pytest.mark.parametrize("qmax,width", [(0, 1), (1, 3), (16, 23), (24, 30), (40, 41)])
-def test_slot_width_is_bit_length_of_bound(qmax, width):
-    assert _slot_width(qmax) == width
-    assert 2 ** (width - 1) <= _coefficient_bound(qmax) < 2 ** width

@@ -16,7 +16,6 @@ from oracles import (
 from qpchar import qp_enum
 from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.partitions import (
-    _slot_width,
     conjugate,
     diag_energy_from_charges,
     mixed_energy_from_charges,
@@ -32,6 +31,7 @@ from qpchar.qp_enum import (
     is_valid,
     iter_basis_monomials,
 )
+from qpchar.series import _slot_width
 
 S1 = ModuleSpec.standard(1)
 S2 = ModuleSpec.standard(2)
@@ -65,6 +65,21 @@ def test_monomial_rejects_bool_and_float_entries(pairs):
         QPMonomial(color1=pairs)
     with pytest.raises(ValueError):
         QPMonomial(color2=pairs)
+
+
+# a one-shot iterator would be used up by the checks, leaving a monomial of
+# energy 0; a list, or a list pair, leaves it unhashable.  Each case makes
+# its own colour, as a shared iterator runs dry
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda: [(1, -1)], id="list"), pytest.param(lambda: iter([(1, -1)]), id="fresh_iterator"),
+     pytest.param(lambda: ([1, -1],), id="list_pair")],
+)
+def test_monomial_rejects_colors_that_are_not_tuples_of_tuples(make):
+    with pytest.raises(ValueError):
+        QPMonomial(color1=make())
+    with pytest.raises(ValueError):
+        QPMonomial(color2=make())
 
 
 # --- is_valid ---------------------------------------------------------------

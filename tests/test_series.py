@@ -4,7 +4,20 @@ import re
 
 import pytest
 
-from qpchar.series import OutOfTruncation, TruncatedSeries, TruncationMismatch
+from oracles import colored_partition_counts
+from qpchar.fermionic import ModuleSpec, character_fermionic
+from qpchar.pbw_oracle import product_side
+from qpchar.qp_enum import enumerate_basis
+from qpchar.series import (
+    OutOfTruncation,
+    TruncatedSeries,
+    TruncationMismatch,
+    _coefficient_bound,
+    _from_packed,
+    _pack,
+    _slot_width,
+    _slots,
+)
 
 
 def _one(trunc):
@@ -111,15 +124,23 @@ def test_terms_are_read_only():
     assert s.terms.get((0, 0, 0)) == 1 and s.terms.get((1, 0, 0)) is None
 
 
+CLONES = [("pickle", lambda s: pickle.loads(pickle.dumps(s))), ("copy", copy.copy),
+          ("deepcopy", copy.deepcopy)]
+# a series built by the constructor, and the two kernels' results, which
+# are built from packed totals
+SOURCES = [("", lambda: TruncatedSeries(3, {(0, 0, 0): 1, (2, 1, 1): -4, (3, 0, 2): 2 ** 70})),
+           ("-fermionic", lambda: character_fermionic(ModuleSpec.standard(2), 8)),
+           ("-enumerate", lambda: enumerate_basis(ModuleSpec.verma(), 8))]
+
+
 @pytest.mark.parametrize(
-    "clone",
-    [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
-    ids=["pickle", "copy", "deepcopy"],
+    "clone,make",
+    [pytest.param(clone, make, id=name + source) for source, make in SOURCES for name, clone in CLONES],
 )
-def test_round_trip_keeps_value_and_read_only_terms(clone):
-    s = TruncatedSeries(3, {(0, 0, 0): 1, (2, 1, 1): -4, (3, 0, 2): 2 ** 70})
+def test_round_trip_keeps_value_and_read_only_terms(clone, make):
+    s = make()
     t = clone(s)
-    assert t == s and t.trunc == 3 and dict(t.terms) == dict(s.terms)
+    assert t == s and t.trunc == s.trunc and dict(t.terms) == dict(s.terms)
     with pytest.raises(TypeError):
         t.terms[(1, 0, 0)] = 5
     with pytest.raises(AttributeError):
@@ -170,6 +191,27 @@ def test_coeff_checks_key_as_constructor_does(key, error):
         TruncatedSeries(2, {key: 1})
 
 
+# a one-shot iterator would be used up by the check and then miss the
+# stored term; each case makes its own key, as a shared iterator runs dry
+NOT_TUPLE_KEYS = [pytest.param(lambda: [2, 1, 1], id="list"), pytest.param(lambda: range(3), id="range"),
+                  pytest.param(lambda: iter((2, 1, 1)), id="fresh_iterator")]
+
+
+@pytest.mark.parametrize("make", NOT_TUPLE_KEYS)
+def test_coeff_refuses_key_that_is_not_a_tuple(make):
+    s = TruncatedSeries(2, {(2, 1, 1): 2, (0, 1, 2): 4})
+    key = make()
+    with pytest.raises(TypeError, match=re.escape(repr(key))):
+        s.coeff(key)
+
+
+def test_constructor_refuses_key_that_is_not_a_tuple():
+    # a range key would be stored, then miss coeff((0, 1, 2)) and equality
+    key = range(3)
+    with pytest.raises(TypeError, match=re.escape(repr(key))):
+        TruncatedSeries(5, {key: 4, (1, 0, 0): 1})
+
+
 # --- serialization order ----------------------------------------------------
 
 def test_sorted_terms_is_lexicographic():
@@ -202,3 +244,36 @@ def test_equality_with_non_series_is_false():
 
 def test_repr_names_truncation_and_term_count():
     assert repr(_one(2)) == "TruncatedSeries(trunc=2, 1 terms)"
+
+
+# --- the packed form of the kernels -------------------------------------------
+
+def test_coefficient_bound_is_largest_six_root_coefficient():
+    for qmax in range(25):
+        bound = _coefficient_bound(qmax)
+        assert bound == max(colored_partition_counts(qmax)), qmax
+        assert bound == max(product_side(qmax).counts_by_q()), qmax
+
+
+@pytest.mark.parametrize("qmax,width", [(0, 1), (1, 3), (16, 23), (24, 30), (40, 41)])
+def test_slot_width_is_bit_length_of_bound(qmax, width):
+    assert _slot_width(qmax) == width
+    assert 2 ** (width - 1) <= _coefficient_bound(qmax) < 2 ** width
+
+
+def test_from_packed_builds_the_series_of_its_slots():
+    trunc, width = 3, 4
+    packed = _pack([0, 5, 0, 15], width)
+    assert list(_slots(packed, width)) == [(1, 5), (3, 15)]
+    # zero slots and a zero total store nothing
+    terms = {(0, 0, 0): 1, (1, 1, 2): 5, (3, 1, 2): 15}
+    s = _from_packed(trunc, width, {(0, 0): 1, (1, 2): packed, (2, 0): 0})
+    assert s == TruncatedSeries(trunc, terms) and dict(s.terms) == terms
+    with pytest.raises(TypeError):
+        s.terms[(0, 0, 0)] = 2
+    assert _from_packed(trunc, width, {}) == TruncatedSeries(trunc)
+    # the top bit of slot trunc is inside; one bit past it is a carry
+    # beyond the truncation
+    assert _from_packed(trunc, width, {(0, 0): 1 << width * (trunc + 1) - 1}).coeff((3, 0, 0)) == 8
+    with pytest.raises(OutOfTruncation):
+        _from_packed(trunc, width, {(1, 0): 1, (0, 0): 1 << width * (trunc + 1)})
