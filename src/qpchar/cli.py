@@ -9,7 +9,9 @@ mismatch, 2 on usage errors; either exits 141 if stdout's reader has gone.
 Each decision of the command line is made in one table: `METHODS` maps
 each --method name to its call, `PAIRS` names the two methods that each
 cross-method check compares, and `VERIFY_FLAGS` the flags other than
---check that a check takes (every other check takes --qmax alone).
+--check and --qmax that a check takes (every other check takes none).
+Every check returns (exit code, report text), and `_run_verify` prints the
+report in one place.
 
 A command line the parser accepts but the command cannot run (a flag the
 command does not take, a --qmax outside [0, ceiling]) raises `_UsageError`;
@@ -25,6 +27,7 @@ import sys
 
 from .fermionic import ModuleSpec, character_fermionic
 from .partitions import (
+    _partitions_of,
     conjugate,
     diag_energy_from_charges,
     diag_energy_from_dual,
@@ -54,8 +57,8 @@ PAIRS = {
     "pbw": ("pbw-enumerate", "pbw-product"),
 }
 VERIFY_CHECKS = (*PAIRS, "conjugation", "stabilize")
-# the flags other than --check that a check takes; any other takes --qmax alone
-VERIFY_FLAGS = {"basis": ("space", "level", "qmax")}
+# the flags other than --check and --qmax that a check takes; any other takes none
+VERIFY_FLAGS = {"basis": ("space", "level")}
 
 
 class _UsageError(Exception):
@@ -81,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--check", choices=VERIFY_CHECKS, required=True)
     pv.add_argument("--space", choices=("L", "N"), help="basis check only")
     pv.add_argument("--level", type=int, help="basis check with --space L")
-    pv.add_argument("--qmax", type=int)
+    pv.add_argument("--qmax", type=int, required=True)
     return parser
 
 
@@ -100,14 +103,10 @@ def _qmax_ceiling() -> int:
 
 def _check(ns: argparse.Namespace) -> None:
     """Raise _UsageError for a command line the parser accepts but cannot run."""
-    takes = ("space", "level", "qmax")  # char's flags, other than --method and --format
-    if ns.command == "verify":
-        takes = VERIFY_FLAGS.get(ns.check, ("qmax",))
-        for flag in ("space", "level", "qmax"):
-            if getattr(ns, flag) is not None and flag not in takes:
-                raise _UsageError(f"--{flag} is not valid with --check {ns.check}")
-    if ns.qmax is None:
-        raise _UsageError("--qmax is required")
+    takes = VERIFY_FLAGS.get(ns.check, ()) if ns.command == "verify" else ("space", "level")
+    for flag in ("space", "level"):
+        if getattr(ns, flag) is not None and flag not in takes:
+            raise _UsageError(f"--{flag} is not valid with --check {ns.check}")
     if ns.qmax < 0:
         raise _UsageError("--qmax must be >= 0")
     ceiling = _qmax_ceiling()
@@ -140,61 +139,44 @@ def _write_table(series: TruncatedSeries, fmt: str) -> None:
 
 
 def _report_compare(name_a: str, a: TruncatedSeries, name_b: str, b: TruncatedSeries,
-                    label: str) -> int:
+                    label: str) -> tuple[int, str]:
     miss = a.first_mismatch(b)
     if miss is None:
-        print(f"{label}: ok (qmax={a.trunc}, {len(a)} coefficients)")
-        return 0
+        return 0, f"{label}: ok (qmax={a.trunc}, {len(a)} coefficients)"
     (q, y1, y2), ca, cb = miss
-    print(f"{label}: MISMATCH at q^{q} y1^{y1} y2^{y2}: {name_a}={ca}, {name_b}={cb}")
-    return 1
+    return 1, f"{label}: MISMATCH at q^{q} y1^{y1} y2^{y2}: {name_a}={ca}, {name_b}={cb}"
 
 
-def _partitions_through(qmax: int) -> list[list[tuple[int, ...]]]:
-    """Entry n lists the partitions of n, in reverse lexicographic order.
-
-    Listed here by a recursion over the largest part, not by `partitions`,
-    so that the list the checks run over does not rest on what they check.
-    """
-    def starting_at_most(n: int, largest: int):
-        if n == 0:
-            yield ()
-        for first in range(min(n, largest), 0, -1):
-            for rest in starting_at_most(n - first, first):
-                yield (first, *rest)
-
-    return [list(starting_at_most(n, n)) for n in range(qmax + 1)]
-
-
-def verify_conjugation(qmax: int) -> tuple[int, list[str]]:
+def verify_conjugation(qmax: int) -> tuple[int, str]:
     """Exhaustive check of the conjugation energy identities through size qmax.
 
     On every partition p with |p| <= qmax: conjugation is an involution
     preserving the part sum, and the same-color energies agree across it.
     On every pair (n1, n2) with |n1| + |n2| <= qmax: the cross-color
     energies agree.  Returns (exit_code, report), the report one line that
-    names the first failing input: partitions are listed by size, and the
-    pairs after them, by n1 and then n2.
+    names the first failing input: partitions are listed by size, each size
+    in the order of `partitions._partitions_of` (which reads nothing that
+    is checked here), and the pairs after them, by n1 and then n2.
     Raises as `series.validate_trunc` for a qmax that is not an int >= 0.
     """
     validate_trunc(qmax)
-    by_size = _partitions_through(qmax)
+    by_size = [list(_partitions_of(n)) for n in range(qmax + 1)]
     duals = {}  # each partition's conjugate, in listing order
     for p in itertools.chain.from_iterable(by_size):
         dual = duals[p] = conjugate(p)
         if conjugate(dual) != p or sum(dual) != sum(p):
-            return 1, [f"conjugation failed on {p}"]
+            return 1, f"conjugation failed on {p}"
         if diag_energy_from_charges(p) != diag_energy_from_dual(dual):
-            return 1, [f"same-color energy mismatch on {p}"]
+            return 1, f"same-color energy mismatch on {p}"
     pairs = 0
     for size1, group1 in enumerate(by_size):
         for n1 in group1:
             for group2 in by_size[:qmax - size1 + 1]:
                 for n2 in group2:
                     if mixed_energy_from_charges(n1, n2) != mixed_energy_from_dual(duals[n1], duals[n2]):
-                        return 1, [f"cross-color energy mismatch on {n1} / {n2}"]
+                        return 1, f"cross-color energy mismatch on {n1} / {n2}"
                 pairs += len(group2)
-    return 0, [f"conjugation: ok (qmax={qmax}, {len(duals)} partitions, {pairs} pairs)"]
+    return 0, f"conjugation: ok (qmax={qmax}, {len(duals)} partitions, {pairs} pairs)"
 
 
 def _run_verify(ns: argparse.Namespace) -> int:
@@ -203,15 +185,15 @@ def _run_verify(ns: argparse.Namespace) -> int:
         spec = ModuleSpec(ns.level)
         a, b = PAIRS[ns.check]
         label = f"basis[{spec.describe()}]" if ns.check == "basis" else ns.check
-        return _report_compare(a, METHODS[a](spec, ns.qmax), b, METHODS[b](spec, ns.qmax), label)
-    if ns.check == "stabilize":
+        code, report = _report_compare(a, METHODS[a](spec, ns.qmax), b, METHODS[b](spec, ns.qmax), label)
+    elif ns.check == "stabilize":
         # at qmax the caps of level max(qmax, 1) no longer bind
         level, fermionic = max(ns.qmax, 1), METHODS["fermionic"]
-        return _report_compare(f"level-{level}", fermionic(ModuleSpec(level), ns.qmax),
-                               "verma", fermionic(ModuleSpec(), ns.qmax), "stabilize")
-    code, report = verify_conjugation(ns.qmax)
-    for line in report:
-        print(line)
+        code, report = _report_compare(f"level-{level}", fermionic(ModuleSpec(level), ns.qmax),
+                                       "verma", fermionic(ModuleSpec(), ns.qmax), "stabilize")
+    else:
+        code, report = verify_conjugation(ns.qmax)
+    print(report)
     return code
 
 

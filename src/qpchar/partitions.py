@@ -26,6 +26,8 @@ of the character term indexed by (r1, r2) is the two diagonal energies from
 the dual side minus the mixed one.
 """
 
+from collections.abc import Iterator
+
 Partition = tuple[int, ...]
 
 
@@ -106,3 +108,24 @@ def mixed_energy_from_dual(r1: Partition, r2: Partition) -> int:
         total += r1[s - 1] * triple
     return total
 
+
+def _partitions_of(n: int) -> Iterator[Partition]:
+    """Yield the partitions of n >= 0 in reverse lexicographic order,
+    (n,) first and (1,) * n last; n = 0 yields ().
+
+    Each step lowers the last part above 1 by one, then refills the rest
+    (the ones after that part and the unit taken from it) greedily with
+    parts of the lowered size.  The lister reads nothing of `conjugate` or
+    the energies, since `verify --check conjugation` runs over its output.
+    """
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        h = len(parts) - parts.count(1) - 1  # the index of the last part above 1
+        if h < 0:
+            return
+        part = parts[h] - 1
+        count, left = divmod(part + len(parts) - h, part)
+        parts[h:] = [part] * count
+        if left:
+            parts.append(left)

@@ -17,13 +17,18 @@ weights in this table's order:
 1 - q^m y1^a y2^b in turn.  `pbw_enumerated` counts monomial multisets
 directly.  A multiset picks, independently for each root, the partition
 formed by the energies of that root's factors, so it lists the partitions
-of every energy up to qmax once, as a table {(energy, number of parts):
-count}, and folds that table over the six roots.  The count never touches
-series arithmetic or the product's division sweep, so the two agree only
-if both are right.
+of every energy up to qmax once, with the lister `partitions._partitions_of`
+that `verify --check conjugation` also runs over, as a table {(energy,
+number of parts): count}, and folds that table over the six roots.  The
+count never touches series arithmetic or the product's division sweep, so
+the two agree only if both are right.  Both end in `series._built`: their
+counts are positive and their keys int triples within qmax.
 """
 
-from .series import TruncatedSeries, validate_trunc
+from collections import Counter
+
+from .partitions import _partitions_of
+from .series import TruncatedSeries, _built, validate_trunc
 
 
 POSITIVE_ROOTS: tuple[tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3))
@@ -47,22 +52,16 @@ def product_side(qmax: int) -> TruncatedSeries:
                 for (u, v), c in layers[q - m].items():
                     key = (u + a, v + b)
                     dst[key] = get(key, 0) + c
-    return TruncatedSeries(
+    return _built(
         qmax, {(q, u, v): c for q, layer in enumerate(layers) for (u, v), c in layer.items()}
     )
 
 
 def _partition_table(qmax: int) -> dict[tuple[int, int], int]:
     """{(e, n): number of partitions of e into n parts} for every e <= qmax,
-    listed one by one with weakly decreasing parts; keys in increasing e."""
-    table: dict[tuple[int, int], int] = {}
-
-    def grow(top: int, left: int, e: int, n: int) -> None:
-        table[e, n] = table.get((e, n), 0) + 1
-        for part in range(1, min(top, left) + 1):
-            grow(part, left - part, e + part, n + 1)
-
-    grow(qmax, qmax, 0, 0)
+    counted over the partitions of each e that `_partitions_of` lists one
+    by one; keys in increasing e."""
+    table = Counter((e, len(p)) for e in range(qmax + 1) for p in _partitions_of(e))
     return dict(sorted(table.items()))
 
 
@@ -76,7 +75,7 @@ def pbw_enumerated(qmax: int) -> TruncatedSeries:
     generator order over running {(q, y1_deg, y2_deg): count} states: a
     state at q meets every (e, n) with q + e <= qmax, and n factors of root
     (a, b) add (n*a, n*b) to the color degrees.  Plain integer counting,
-    no series arithmetic; one `TruncatedSeries` is built at the end.
+    no series arithmetic; one series is built at the end.
     """
     validate_trunc(qmax)
     table = _partition_table(qmax)
@@ -91,4 +90,4 @@ def pbw_enumerated(qmax: int) -> TruncatedSeries:
                 key = (q + e, u + n * a, v + n * b)
                 folded[key] = get(key, 0) + c * k
         states = folded
-    return TruncatedSeries(qmax, states)
+    return _built(qmax, states)

@@ -9,10 +9,18 @@ and discarded beyond that.  Comparing two series with `first_mismatch`
 requires equal truncations; a mismatch is always a caller bug and raises
 instead of being silently reconciled.
 
-Terms are keyed by plain (q_deg, y1_deg, y2_deg) tuples of three ints; the
-constructor checks each key and stores it as given.  Zero coefficients are
-never stored, and `terms` is a read-only view, so structural equality of
-the term maps is semantic equality of the truncated series.
+Terms are keyed by plain (q_deg, y1_deg, y2_deg) tuples of three ints.
+Zero coefficients are never stored, and `terms` is a read-only view, so
+structural equality of the term maps is semantic equality of the truncated
+series.
+
+Every series is made by one private function, `_built`, which stores its
+terms as given.  The public constructor, which pickling and copying also
+go through, checks outside input (each key and coefficient) and then ends
+in `_built`.  The four methods end in `_built` too, without that check
+(the two packed kernels through `_from_packed`): their keys are int
+triples within the truncation and their coefficients nonzero ints by
+construction.
 
 The two packed kernels, the fermionic sum and the basis count, hold a
 truncated q-coefficient list as one int with a fixed-width slot per power
@@ -72,11 +80,12 @@ class TruncatedSeries:
     rebuild a series through the constructor.  `terms` is a mapping or
     None; anything else raises TypeError.  Keys are tuples of three
     ints >= 0 and coefficients are ints; bools are refused for both.
+    Each key is stored as given, and zero coefficients are dropped.
     """
 
     __slots__ = ("trunc", "terms")
 
-    def __init__(self, trunc: int, terms: Mapping[tuple[int, int, int], int] | None = None):
+    def __new__(cls, trunc: int, terms: Mapping[tuple[int, int, int], int] | None = None):
         validate_trunc(trunc)
         if terms is not None and not isinstance(terms, Mapping):
             raise TypeError(f"terms must be a mapping, got {type(terms).__name__}")
@@ -88,15 +97,15 @@ class TruncatedSeries:
                     raise TypeError(f"coefficient {c!r} is not an exact integer")
                 if c:
                     clean[key] = c
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        return _built(trunc, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, since the
-        # default slot restore would go through __setattr__
+        # pickle and copy rebuild through the checking constructor: pickle
+        # data is outside input, and the default slot restore would go
+        # through __setattr__
         return TruncatedSeries, (self.trunc, dict(self.terms))
 
     def coeff(self, key: tuple[int, int, int]) -> int:
@@ -144,6 +153,19 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(trunc={self.trunc}, {len(self.terms)} terms)"
+
+
+def _built(trunc: int, terms: dict[tuple[int, int, int], int]) -> TruncatedSeries:
+    """The series truncated at q^trunc with these terms, stored as given.
+
+    The one place a series is made.  The caller vouches for what the
+    constructor would check: `trunc` an int >= 0, and `terms` a dict of
+    nonzero ints keyed by triples of ints >= 0 with q-degree <= trunc.
+    """
+    series = object.__new__(TruncatedSeries)
+    object.__setattr__(series, "trunc", trunc)
+    object.__setattr__(series, "terms", MappingProxyType(terms))
+    return series
 
 
 def _coefficient_bound(qmax: int) -> int:
@@ -205,10 +227,10 @@ def _from_packed(trunc: int, width: int, totals: Mapping[tuple[int, int], int]) 
     """The series whose terms at q^j y1^u y2^v are the slots j of
     `totals[u, v]`, each packed at `width` bits a slot.
 
-    The kernels make every key from ints and every slot is an int >= 0,
-    so the series is built directly, without the constructor's per-key
-    checks.  A total with a bit past slot `trunc` would make a key beyond
-    the truncation (a carry that escaped the mask), so it raises
+    The kernels make every key from ints and every stored slot is an
+    int > 0, so the series goes to `_built` without the constructor's
+    per-key checks.  A total with a bit past slot `trunc` would make a key
+    beyond the truncation (a carry that escaped the mask), so it raises
     OutOfTruncation.
     """
     bits = width * (trunc + 1)
@@ -218,7 +240,4 @@ def _from_packed(trunc: int, width: int, totals: Mapping[tuple[int, int], int]) 
             raise OutOfTruncation(f"packed total at y1^{u} y2^{v} has bits past slot {trunc}")
         for q, c in _slots(total, width):
             terms[q, u, v] = c
-    series = object.__new__(TruncatedSeries)
-    object.__setattr__(series, "trunc", trunc)
-    object.__setattr__(series, "terms", MappingProxyType(terms))
-    return series
+    return _built(trunc, terms)

@@ -65,7 +65,7 @@ def test_criterion_5_exponent_conversions():
     with _Clock() as c:
         code, report = verify_conjugation(12)
         assert code == 0, report
-        assert report == ["conjugation: ok (qmax=12, 272 partitions, 3132 pairs)"]
+        assert report == "conjugation: ok (qmax=12, 272 partitions, 3132 pairs)"
     _ok(5, "conjugation energy identities on every partition of size <= 12 "
            "and every pair of total size <= 12", c)
 

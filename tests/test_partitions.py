@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import total_exponent
+from oracles import colored_partition_counts, total_exponent
 from qpchar.partitions import (
+    _partitions_of,
     conjugate,
     diag_energy_from_charges,
     diag_energy_from_dual,
@@ -15,6 +16,18 @@ from qpchar.partitions import (
 partitions_st = st.lists(st.integers(1, 15), max_size=10).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+def test_partitions_of_lists_each_partition_once_in_reverse_lex_order():
+    counts = colored_partition_counts(12, colors=1)
+    for n in range(13):
+        listed = list(_partitions_of(n))
+        for p in listed:
+            validate_partition(p)  # a tuple of weakly decreasing positive ints
+            assert sum(p) == n
+        # strictly decreasing as tuples: distinct, in reverse lexicographic order
+        assert all(a > b for a, b in zip(listed, listed[1:]))
+        assert len(listed) == counts[n]
 
 
 def test_validate_partition_accepts_valid():

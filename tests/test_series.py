@@ -6,7 +6,7 @@ import pytest
 
 from oracles import colored_partition_counts
 from qpchar.fermionic import ModuleSpec, character_fermionic
-from qpchar.pbw_oracle import product_side
+from qpchar.pbw_oracle import pbw_enumerated, product_side
 from qpchar.qp_enum import enumerate_basis
 from qpchar.series import (
     OutOfTruncation,
@@ -126,11 +126,14 @@ def test_terms_are_read_only():
 
 CLONES = [("pickle", lambda s: pickle.loads(pickle.dumps(s))), ("copy", copy.copy),
           ("deepcopy", copy.deepcopy)]
-# a series built by the constructor, and the two kernels' results, which
-# are built from packed totals
+# a series built by the constructor, and the four methods' results, which
+# are stored unchecked (the two kernels' from packed totals); each clone is
+# rebuilt through the checking constructor, so it checks the stored terms
 SOURCES = [("", lambda: TruncatedSeries(3, {(0, 0, 0): 1, (2, 1, 1): -4, (3, 0, 2): 2 ** 70})),
            ("-fermionic", lambda: character_fermionic(ModuleSpec.standard(2), 8)),
-           ("-enumerate", lambda: enumerate_basis(ModuleSpec.verma(), 8))]
+           ("-enumerate", lambda: enumerate_basis(ModuleSpec.verma(), 8)),
+           ("-pbw-product", lambda: product_side(8)),
+           ("-pbw-enumerate", lambda: pbw_enumerated(8))]
 
 
 @pytest.mark.parametrize(
