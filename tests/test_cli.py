@@ -133,8 +133,11 @@ def test_ceiling_env_read_after_qmax_checks(capsys, monkeypatch, qmax_args, mess
     # a bad ceiling must not hide the error in --qmax itself
     monkeypatch.setenv(QMAX_CEILING_ENV, "plenty")
     code, out, err = run(capsys, "verify", "--check", "identity", *qmax_args)
-    assert (code, out) == (2, "")
-    assert err.endswith(f"error: {message}\n") and QMAX_CEILING_ENV not in err
+    if qmax_args:
+        assert (code, out, err) == (2, "", f"qpchar: error: {message}\n")
+    else:
+        assert (code, out) == (2, "") and err.startswith("usage: qpchar verify ")
+        assert err.endswith(f"qpchar verify: error: {message}\n") and QMAX_CEILING_ENV not in err
 
 
 # each check's label, then its two sides' --method names as reported
