@@ -102,6 +102,22 @@ def _blocks(qmax: int) -> list[list[tuple[int, int, int, int]]]:
     return rows
 
 
+def _move_blocks(rows, a: int | None, z: int | None, low: int, high: int) -> list[tuple[int, int, int, int, int]]:
+    """The blocks (e, a', x, y, z') with share low < e <= high that a step
+    may append to a state whose last block has color-1 count a and last
+    color-2 count z: those of rows a' <= a of `rows` with x <= z, or of
+    every row for the start state (a and z None), sorted by share."""
+    blocks = []
+    for a2, row in enumerate(rows if a is None else rows[:a + 1]):
+        for e, x, y, w in row:
+            if e > high:
+                break
+            if e > low and (a is None or x <= z):
+                blocks.append((e, a2, x, y, w))
+    blocks.sort()
+    return blocks
+
+
 def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     """Evaluate the fermionic character sum, truncated at q^qmax.
 
@@ -114,8 +130,7 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     q^(its exponent share) and by 1/(q)_d for the new differences
     a - a', z - x, x - y, y - z'.  Closing a state multiplies by
     1/(q)_a (q)_z, the last differences taken against zero, and adds it to
-    the total of its (y1, y2) degree.  The blocks come from `_blocks`, sorted
-    by share, so a state stops at the first one over qmax less its lowest power.
+    the total of its (y1, y2) degree.
 
     Every nonzero block raises y1 + y2, so taking states in increasing
     y1 + y2 closes each one after everything that feeds it.  The factors
@@ -125,13 +140,24 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     product prod_d 1/(q)_d is multiplied out of that table the first time
     its differences occur and looked up by them after that.
 
+    Each last-counts pair (a, z) has its own move list: the blocks a step
+    from it may append (`_move_blocks`), sorted by share, each with its
+    target-key deltas and its factor q^e prod_d 1/(q)_d, already shifted
+    and masked.  A state stops at the first move over qmax less its lowest
+    power.  The lists are filled lazily: a pair's list is made when a state
+    first reaches it and holds the moves that state may take, and it is
+    extended when a later state of the pair may take moves of larger
+    share.  So no factor is made for a move no state takes.
+
     States, totals, the factors and their products are held in the packed
     form of `series` (`_pack`), `_slot_width(qmax)` bits per power of q,
     and the totals are turned into the series once (`_from_packed`).  A
-    step is then one multiply, a shift by the exponent share and a mask to
-    the truncation, and the lowest power a state holds is its lowest set
-    bit.  The packing is exact because no slot through q^qmax can reach
-    2^width, and every count is >= 0, so such a slot holds its true value:
+    step is then one multiply and a mask to the truncation, and the lowest
+    power a state holds is its lowest set bit.  Masking a move's factor
+    drops only its terms past q^qmax, which reach no slot through q^qmax
+    of a product.  The packing is exact because no slot through q^qmax can
+    reach 2^width, and every count is >= 0, so such a slot holds its true
+    value:
     * a product prod_d 1/(q)_d, finished or partial, has at most four
       factors, so its coefficients are at most those of
       prod_{m>=1} (1-q^m)^-4, below those of the six-root product;
@@ -168,30 +194,33 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
         return poch
 
     rows = _blocks(qmax)
+    # (a, z) -> [largest share whose moves are made, the moves
+    # (e, a', z', y2 step, factor) sorted by share, closing factor]
+    moves: dict[tuple[int | None, int | None], list] = {}
     # states keyed by y1 + y2 degree; the start state has no block yet
     layers = {0: {(None, None, 0, 0, spec.level): 1}}
     totals: dict[tuple[int, int], int] = {}
     while layers:
         for (a, pz, u, v, left), coeffs in layers.pop(min(layers)).items():
-            lo = ((coeffs & -coeffs).bit_length() - 1) // width
-            closed = coeffs if a is None else coeffs * product((a, pz)) & mask
-            totals[u, v] = totals.get((u, v), 0) + closed
+            pair = moves.get((a, pz))
+            if pair is None:
+                pair = moves[a, pz] = [0, [], 1 if a is None else product((a, pz))]
+            made, steps, close = pair
+            totals[u, v] = totals.get((u, v), 0) + (coeffs * close & mask)
             if left == 0:
                 continue
             nleft = None if left is None else left - 1
-            for a2, row in enumerate(rows if a is None else rows[:a + 1]):
-                for e, x, y, z in row:
-                    if e > qmax - lo:
-                        break
-                    if a is None:
-                        diffs = (x - y, y - z)
-                    elif x > pz:
-                        continue
-                    else:
-                        diffs = (a - a2, pz - x, x - y, y - z)
-                    nu, nv = u + a2, v + x + y + z
-                    layer = layers.setdefault(nu + nv, {})
-                    key = (a2, z, nu, nv, nleft)
-                    step = (coeffs * product(diffs) << e * width) & mask
-                    layer[key] = layer.get(key, 0) + step
+            cap = qmax - ((coeffs & -coeffs).bit_length() - 1) // width
+            if cap > made:
+                for e, a2, x, y, z in _move_blocks(rows, a, pz, made, cap):
+                    diffs = (x - y, y - z) if a is None else (a - a2, pz - x, x - y, y - z)
+                    steps.append((e, a2, z, x + y + z, product(diffs) << e * width & mask))
+                pair[0] = cap
+            for e, a2, z, dv, factor in steps:
+                if e > cap:
+                    break
+                nu, nv = u + a2, v + dv
+                layer = layers.setdefault(nu + nv, {})
+                key = (a2, z, nu, nv, nleft)
+                layer[key] = layer.get(key, 0) + (coeffs * factor & mask)
     return _from_packed(qmax, width, totals)

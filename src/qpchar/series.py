@@ -30,6 +30,7 @@ from packed totals.
 """
 
 from collections.abc import Iterator, Mapping
+from operator import itemgetter
 from types import MappingProxyType
 
 
@@ -138,8 +139,9 @@ class TruncatedSeries:
 
     def sorted_terms(self) -> list[tuple[tuple[int, int, int], int]]:
         """Terms sorted lexicographically by (q_deg, y1_deg, y2_deg); this is
-        the canonical serialization order."""
-        return sorted(self.terms.items())
+        the canonical serialization order.  Keys are unique, so sorting by
+        key alone gives the same order without comparing coefficients."""
+        return sorted(self.terms.items(), key=itemgetter(0))
 
     def counts_by_q(self) -> list[int]:
         """Specialize y1 = y2 = 1: entry m is the total coefficient at q^m."""

@@ -11,7 +11,7 @@ from oracles import (
     pair_sum_character,
     total_exponent,
 )
-from qpchar.fermionic import ModuleSpec, _blocks, character_fermionic
+from qpchar.fermionic import ModuleSpec, _blocks, _move_blocks, character_fermionic
 from qpchar.partitions import validate_partition
 
 S1 = ModuleSpec.standard(1)
@@ -194,10 +194,64 @@ def test_character_agrees_with_series_machinery(spec):
     assert character_fermionic(spec, 5).terms == _reference_character(spec, 5)
 
 
-@pytest.mark.parametrize("spec", [V, S1, S2, S3, ModuleSpec.standard(4)])
+@pytest.mark.parametrize("spec", [V, S1, S2, S3] + [ModuleSpec.standard(k) for k in (4, 5, 6)])
 def test_block_recursion_matches_pair_sum(spec):
     for qmax in range(11):
         assert character_fermionic(spec, qmax) == pair_sum_character(spec, qmax), qmax
+
+
+@pytest.mark.parametrize("spec", [ModuleSpec.standard(6), V])
+def test_block_recursion_matches_pair_sum_at_qmax_12(spec):
+    assert character_fermionic(spec, 12) == pair_sum_character(spec, 12)
+
+
+def _reached_pairs(rows):
+    # the start state, and the last counts (a, z) of every block: each block
+    # within the truncation can be the first one appended
+    return {(None, None)} | {(a, z) for a, row in enumerate(rows) for _e, _x, _y, z in row}
+
+
+@pytest.mark.parametrize("qmax", range(13))
+def test_move_blocks_are_the_allowed_blocks_by_share(qmax):
+    rows = _blocks(qmax)
+    for a, z in _reached_pairs(rows):
+        # the start state (a None) may append a block of any row
+        want = [
+            (e, a2, x, y, w)
+            for a2, row in enumerate(rows)
+            for e, x, y, w in row
+            if a is None or (a2 <= a and x <= z)
+        ]
+        got = _move_blocks(rows, a, z, 0, qmax)
+        assert sorted(got) == sorted(want), (a, z)
+        assert [m[0] for m in got] == sorted(m[0] for m in got), (a, z)
+        # a list extended share range by share range is the whole list
+        for mid in range(qmax + 1):
+            assert _move_blocks(rows, a, z, 0, mid) + _move_blocks(rows, a, z, mid, qmax) == got, (a, z, mid)
+
+
+@pytest.mark.parametrize("qmax", range(13))
+def test_moves_after_zero_counts_are_empty(qmax):
+    # a block (x, y, 0) of color 1 count 0 ends every sequence: a next block
+    # would need a' <= 0 and x <= 0, so it would be zero
+    assert _move_blocks(_blocks(qmax), 0, 0, 0, qmax) == []
+
+
+def test_moves_at_qmax_zero():
+    # no nonzero block has share 0, so the start state closes alone
+    assert _blocks(0) == [[]]
+    assert _move_blocks(_blocks(0), None, None, 0, 0) == []
+
+
+@pytest.mark.parametrize("spec", [S1, V])
+def test_moves_at_qmax_one_clamp_the_closing_difference(spec):
+    # the block (a, x, y, z) = (2, 1, 1, 1) has share 1; closing after it
+    # takes 1/(q)_2 (q)_1, and 1/(q)_2 is read as 1/(q)_1 at qmax 1
+    rows = _blocks(1)
+    assert (1, 2, 1, 1, 1) in _move_blocks(rows, None, None, 0, 1)
+    # a state after it holds q^1, so it may append no block
+    assert _move_blocks(rows, 2, 1, 0, 0) == []
+    assert character_fermionic(spec, 1).coeff((1, 2, 3)) == 1
 
 
 @pytest.mark.parametrize("qmax,error", [(-1, ValueError), (2.0, TypeError), (True, TypeError)])
