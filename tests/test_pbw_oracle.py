@@ -59,10 +59,25 @@ def test_enumeration_equals_product(qmax):
     assert pbw_enumerated(qmax) == product_side(qmax)
 
 
-@pytest.mark.parametrize("qmax", [16, 20])
+@pytest.mark.parametrize("qmax", [16, 20, 24])
 def test_enumeration_equals_product_deep(qmax):
-    # past acceptance criterion 2 (qmax 8): 12.5M and 165M multisets
+    # past acceptance criterion 2 (qmax 8): 12.5M, 165M and 1.76G multisets
     assert pbw_enumerated(qmax) == product_side(qmax)
+
+
+@pytest.mark.parametrize("method", [product_side, pbw_enumerated])
+@pytest.mark.parametrize("qmax", [1, 4, 9])
+def test_top_corner_of_key_range(method, qmax):
+    # the largest degrees a term at q^q reaches are y2^(3q), from q factors
+    # of energy 1 on the roots alpha1 + 3alpha2 and 2alpha1 + 3alpha2, and
+    # y1^(2q); both int-keyed methods must keep these keys apart, and no
+    # key may pass y2^(3 qmax) or y1^(2 qmax)
+    s = method(qmax)
+    for q in range(qmax + 1):
+        for u in range(q, 2 * q + 1):
+            assert s.coeff((q, u, 3 * q)) == 1
+    assert max(v for (_q, _u, v) in s.terms) == 3 * qmax
+    assert max(u for (_q, u, _v) in s.terms) == 2 * qmax
 
 
 @pytest.mark.parametrize("qmax", range(11))
