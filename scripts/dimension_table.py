@@ -23,9 +23,9 @@ def main() -> None:
     if any(k < 1 for k in args.levels):
         ap.error(f"--levels must all be >= 1, got {args.levels}")
 
-    columns = [(f"L(k={k})", character_fermionic(ModuleSpec.standard(k), args.qmax))
+    columns = [(f"L(k={k})", character_fermionic(ModuleSpec(k), args.qmax))
                for k in args.levels]
-    columns.append(("N (cap-free)", character_fermionic(ModuleSpec.verma(), args.qmax)))
+    columns.append(("N (cap-free)", character_fermionic(ModuleSpec(), args.qmax)))
 
     counts = {name: series.counts_by_q() for name, series in columns}
     width = max(12, *(len(name) + 2 for name, _ in columns))

@@ -13,11 +13,12 @@ cross-method check compares, and `VERIFY_FLAGS` the flags other than
 Every check returns (exit code, report text), and `_run_verify` prints the
 report in one place.
 
-A command line the parser accepts but the command cannot run (a flag the
-command does not take, a --qmax outside [0, ceiling]) raises `_UsageError`;
-`main` catches it in one place, prints ``qpchar: error: <msg>`` and returns
-2, as argparse does for its own errors.  The ceiling, `QPCHAR_QMAX_CEILING`,
-is read only once --qmax is known to be >= 0.
+Argparse refuses every bad command line.  A line the parser accepts but
+the command cannot run (a flag the command does not take, a --qmax outside
+[0, ceiling]) is refused by `_check` through that command's own parser, so
+every refusal prints the command's usage line and then
+``qpchar <command>: error: <msg>`` on stderr, and `main` returns 2.  The
+ceiling, `QPCHAR_QMAX_CEILING`, is read only once --qmax is known to be >= 0.
 """
 
 import argparse
@@ -61,10 +62,6 @@ VERIFY_CHECKS = (*PAIRS, "conjugation", "stabilize")
 VERIFY_FLAGS = {"basis": ("space", "level")}
 
 
-class _UsageError(Exception):
-    """A command line that qpchar refuses; `main` prints it and exits 2."""
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpchar",
@@ -79,53 +76,57 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--qmax", type=int, required=True, help="q-truncation order")
     pc.add_argument("--method", choices=METHODS, default="fermionic")
     pc.add_argument("--format", choices=("csv", "json"), default="csv")
+    pc.set_defaults(parser=pc)
 
     pv = sub.add_parser("verify", help="run a cross-method verification")
     pv.add_argument("--check", choices=VERIFY_CHECKS, required=True)
     pv.add_argument("--space", choices=("L", "N"), help="basis check only")
     pv.add_argument("--level", type=int, help="basis check with --space L")
     pv.add_argument("--qmax", type=int, required=True)
+    pv.set_defaults(parser=pv)
     return parser
 
 
-def _qmax_ceiling() -> int:
+def _qmax_ceiling(error) -> int:
+    """The --qmax ceiling; `error` refuses a bad value and does not return."""
     raw = os.environ.get(QMAX_CEILING_ENV)
     if raw is None:
         return QMAX_CEILING_DEFAULT
     try:
         ceiling = int(raw)
     except ValueError:
-        raise _UsageError(f"{QMAX_CEILING_ENV} must be an integer, got {raw!r}") from None
+        error(f"{QMAX_CEILING_ENV} must be an integer, got {raw!r}")
     if ceiling < 0:
-        raise _UsageError(f"{QMAX_CEILING_ENV} must be >= 0, got {raw!r}")
+        error(f"{QMAX_CEILING_ENV} must be >= 0, got {raw!r}")
     return ceiling
 
 
 def _check(ns: argparse.Namespace) -> None:
-    """Raise _UsageError for a command line the parser accepts but cannot run."""
+    """Refuse, through the command's parser, a line it accepts but cannot run."""
+    error = ns.parser.error  # prints the usage line and the message, exits 2
     takes = VERIFY_FLAGS.get(ns.check, ()) if ns.command == "verify" else ("space", "level")
     for flag in ("space", "level"):
         if getattr(ns, flag) is not None and flag not in takes:
-            raise _UsageError(f"--{flag} is not valid with --check {ns.check}")
+            error(f"--{flag} is not valid with --check {ns.check}")
     if ns.qmax < 0:
-        raise _UsageError("--qmax must be >= 0")
-    ceiling = _qmax_ceiling()
+        error("--qmax must be >= 0")
+    ceiling = _qmax_ceiling(error)
     if ns.qmax > ceiling:
-        raise _UsageError(f"--qmax {ns.qmax} exceeds the ceiling {ceiling}"
-                          f" (raise {QMAX_CEILING_ENV} to allow more)")
+        error(f"--qmax {ns.qmax} exceeds the ceiling {ceiling}"
+              f" (raise {QMAX_CEILING_ENV} to allow more)")
     if "space" not in takes:
         return
     if ns.space is None:
-        raise _UsageError("--space is required")
+        error("--space is required")
     if ns.space == "L":
         if ns.level is None:
-            raise _UsageError("--space L requires --level")
+            error("--space L requires --level")
         if ns.level < 1:
-            raise _UsageError("--level must be >= 1")
+            error("--level must be >= 1")
     elif ns.level is not None:
-        raise _UsageError("--level is only valid with --space L")
+        error("--level is only valid with --space L")
     if ns.command == "char" and ns.method.startswith("pbw") and ns.space != "N":
-        raise _UsageError(f"--method {ns.method} is only valid with --space N")
+        error(f"--method {ns.method} is only valid with --space N")
 
 
 def _write_table(series: TruncatedSeries, fmt: str) -> None:
@@ -201,10 +202,10 @@ def main(argv=None) -> int:
     try:
         try:
             ns = _build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse has printed --help or its own error
+            _check(ns)
+        except SystemExit as exc:  # argparse has printed --help or a usage error
             code = int(exc.code or 0)
         else:
-            _check(ns)
             if ns.command == "char":
                 # _check allows --level only with --space L, and level None is the Verma module
                 _write_table(METHODS[ns.method](ModuleSpec(ns.level), ns.qmax), ns.format)
@@ -213,9 +214,6 @@ def main(argv=None) -> int:
                 code = _run_verify(ns)
         sys.stdout.flush()
         return code
-    except _UsageError as exc:
-        print(f"qpchar: error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader has gone (`qpchar char ... | head`): fd 1 goes to devnull so
         # the flush at exit cannot fail again; 141 = 128 + SIGPIPE, as a shell reports

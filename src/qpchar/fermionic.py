@@ -34,8 +34,8 @@ from .series import TruncatedSeries, _from_packed, _pack, _slot_width, validate_
 class ModuleSpec:
     """Selects which vacuum module's principal subspace is graded.
 
-    level k >= 1 selects the level-k standard module; level None selects the
-    generalized Verma module (no charge caps).
+    ModuleSpec(k), k >= 1, selects the level-k standard module; ModuleSpec()
+    (level None) selects the generalized Verma module (no charge caps).
     """
 
     level: int | None = None
@@ -47,14 +47,6 @@ class ModuleSpec:
             raise TypeError(f"level must be an int or None, got {self.level!r}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
-
-    @classmethod
-    def standard(cls, k: int) -> "ModuleSpec":
-        return cls(level=k)
-
-    @classmethod
-    def verma(cls) -> "ModuleSpec":
-        return cls(level=None)
 
     @property
     def color1_cap(self) -> int | None:

@@ -10,7 +10,7 @@ from qpchar.fermionic import ModuleSpec, character_fermionic
 from qpchar.pbw_oracle import pbw_enumerated, product_side
 from qpchar.qp_enum import enumerate_basis
 
-V = ModuleSpec.verma()
+V = ModuleSpec()
 
 
 class _Clock:
@@ -45,7 +45,7 @@ def test_criterion_2_pbw_oracle():
 def test_criterion_3_standard_module_basis():
     with _Clock() as c:
         for k, qmax in ((1, 10), (2, 8), (3, 6)):
-            spec = ModuleSpec.standard(k)
+            spec = ModuleSpec(k)
             assert enumerate_basis(spec, qmax) == character_fermionic(spec, qmax), \
                 f"level {k}, qmax {qmax}"
     _ok(3, "quasi-particle enumeration == fermionic sum at "
@@ -73,8 +73,8 @@ def test_criterion_5_exponent_conversions():
 def test_criterion_6_stabilization():
     with _Clock() as c:
         verma = character_fermionic(V, 8)
-        assert character_fermionic(ModuleSpec.standard(8), 8) == verma
-        level1 = character_fermionic(ModuleSpec.standard(1), 8)
+        assert character_fermionic(ModuleSpec(8), 8) == verma
+        level1 = character_fermionic(ModuleSpec(1), 8)
         mismatch = level1.first_mismatch(verma)
         assert mismatch is not None
         key, c1, cv = mismatch
@@ -91,7 +91,7 @@ def test_criterion_6_stabilization():
 
 def test_criterion_7_monotonicity():
     with _Clock() as c:
-        chain = [character_fermionic(ModuleSpec.standard(k), 6) for k in (1, 2, 3)]
+        chain = [character_fermionic(ModuleSpec(k), 6) for k in (1, 2, 3)]
         chain.append(character_fermionic(V, 6))
         for lo, hi in zip(chain, chain[1:]):
             assert all(v <= hi.terms.get(k, 0) for k, v in lo.terms.items())
@@ -100,7 +100,7 @@ def test_criterion_7_monotonicity():
 
 def test_criterion_8_spot_values():
     with _Clock() as c:
-        s1 = ModuleSpec.standard(1)
+        s1 = ModuleSpec(1)
         for series in (character_fermionic(s1, 2), enumerate_basis(s1, 2)):
             assert series.coeff((1, 1, 1)) == 1
             assert series.coeff((2, 0, 2)) == 1

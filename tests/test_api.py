@@ -52,3 +52,9 @@ def test_public_api_is_pinned():
 def test_internal_names_not_exported(module, name):
     assert not hasattr(module, name)
 
+
+
+def test_module_spec_has_one_spelling():
+    # ModuleSpec(k) names the level-k standard module, ModuleSpec() the Verma module
+    assert not hasattr(qpchar.ModuleSpec, "standard")
+    assert not hasattr(qpchar.ModuleSpec, "verma")

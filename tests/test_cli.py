@@ -20,6 +20,18 @@ def run(capsys, *args):
     return code, out, err
 
 
+def assert_refused(result, command, message=None):
+    """`result` is argparse's refusal of a `command` line: exit 2, no stdout,
+    the command's usage line, then its error line (with `message`, if given)."""
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: qpchar {command} ") and err.endswith("\n")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"qpchar {command}: error: ")
+    if message is not None:
+        assert last == f"qpchar {command}: error: {message}"
+
+
 # --- char -------------------------------------------------------------------
 
 LEVEL1_Q1_CSV = """q,y1,y2,coeff
@@ -93,9 +105,7 @@ def test_char_deterministic(capsys):
     ],
 )
 def test_usage_errors_exit_two(capsys, args):
-    code, _out, err = run(capsys, *args)
-    assert code == 2
-    assert err.strip() != ""
+    assert_refused(run(capsys, *args), args[0])
 
 
 def test_unknown_flags_exit_two(capsys):
@@ -113,31 +123,26 @@ def test_ceiling_env_raises_limit(capsys, monkeypatch):
 
 def test_ceiling_env_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv(QMAX_CEILING_ENV, "plenty")
-    code, _, err = run(capsys, "char", "--space", "N", "--qmax", "2")
-    assert code == 2 and QMAX_CEILING_ENV in err
+    assert_refused(run(capsys, "char", "--space", "N", "--qmax", "2"), "char",
+                   f"{QMAX_CEILING_ENV} must be an integer, got 'plenty'")
 
 
 def test_ceiling_env_must_not_be_negative(capsys, monkeypatch):
     monkeypatch.setenv(QMAX_CEILING_ENV, "-1")
-    code, out, err = run(capsys, "verify", "--check", "pbw", "--qmax", "0")
-    assert code == 2 and out == ""
-    assert QMAX_CEILING_ENV in err and "exceeds" not in err
+    assert_refused(run(capsys, "verify", "--check", "pbw", "--qmax", "0"), "verify",
+                   f"{QMAX_CEILING_ENV} must be >= 0, got '-1'")
 
 
 @pytest.mark.parametrize(
     "qmax_args,message",
-    # a missing --qmax is argparse's error, after its usage line, as for char
     [((), "the following arguments are required: --qmax"), (("--qmax", "-1"), "--qmax must be >= 0")],
 )
 def test_ceiling_env_read_after_qmax_checks(capsys, monkeypatch, qmax_args, message):
     # a bad ceiling must not hide the error in --qmax itself
     monkeypatch.setenv(QMAX_CEILING_ENV, "plenty")
-    code, out, err = run(capsys, "verify", "--check", "identity", *qmax_args)
-    if qmax_args:
-        assert (code, out, err) == (2, "", f"qpchar: error: {message}\n")
-    else:
-        assert (code, out) == (2, "") and err.startswith("usage: qpchar verify ")
-        assert err.endswith(f"qpchar verify: error: {message}\n") and QMAX_CEILING_ENV not in err
+    result = run(capsys, "verify", "--check", "identity", *qmax_args)
+    assert_refused(result, "verify", message)
+    assert QMAX_CEILING_ENV not in result[2]
 
 
 # each check's label, then its two sides' --method names as reported
@@ -210,11 +215,11 @@ def test_verify_flag_table(capsys, check, flag):
     if flag == "level" and "space" in flags:
         flags["space"] = "L"  # --level needs --space L
     argv = [word for f, value in flags.items() for word in (f"--{f}", value)]
-    code, out, err = run(capsys, "verify", "--check", check, *argv)
+    result = run(capsys, "verify", "--check", check, *argv)
     if flag in ("qmax", *TAKES.get(check, ())):
-        assert (code, err) == (0, "")
+        assert (result[0], result[2]) == (0, "")
     else:
-        assert (code, out, err) == (2, "", f"qpchar: error: --{flag} is not valid with --check {check}\n")
+        assert_refused(result, "verify", f"--{flag} is not valid with --check {check}")
 
 
 # --- verify -----------------------------------------------------------------
@@ -314,26 +319,25 @@ def test_mismatch_reports_first_key_and_both_coefficients():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_module(*args):
+def run_module(*args, module="qpchar"):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-m", "qpchar", *args],
+        [sys.executable, "-m", module, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
 
 def test_module_entry_point_runs_verify():
-    proc = run_module("verify", "--check", "basis", "--space", "L",
-                      "--level", "1", "--qmax", "6")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("basis[level-1 standard module]: ok")
+    for module in ("qpchar", "qpchar.cli"):
+        proc = run_module("verify", "--check", "basis", "--space", "L",
+                          "--level", "1", "--qmax", "6", module=module)
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert proc.stdout.startswith("basis[level-1 standard module]: ok"), module
 
 
 def test_module_entry_point_exits_two_on_usage_error():
     proc = run_module("char", "--space", "N", "--qmax", "-1")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("qpchar: error:")
+    assert_refused((proc.returncode, proc.stdout, proc.stderr), "char", "--qmax must be >= 0")
 
 
 def run_module_into_closed_pipe(args, unbuffered):

@@ -14,10 +14,10 @@ from oracles import (
 from qpchar.fermionic import ModuleSpec, _blocks, _move_blocks, character_fermionic
 from qpchar.partitions import validate_partition
 
-S1 = ModuleSpec.standard(1)
-S2 = ModuleSpec.standard(2)
-S3 = ModuleSpec.standard(3)
-V = ModuleSpec.verma()
+S1 = ModuleSpec(1)
+S2 = ModuleSpec(2)
+S3 = ModuleSpec(3)
+V = ModuleSpec()
 
 
 # --- ModuleSpec -------------------------------------------------------------
@@ -29,7 +29,7 @@ def test_spec_caps():
 
 def test_spec_rejects_level_below_one():
     with pytest.raises(ValueError):
-        ModuleSpec.standard(0)
+        ModuleSpec(0)
 
 
 @pytest.mark.parametrize("level", [2.5, 2.0, "2", True, False])
@@ -194,13 +194,13 @@ def test_character_agrees_with_series_machinery(spec):
     assert character_fermionic(spec, 5).terms == _reference_character(spec, 5)
 
 
-@pytest.mark.parametrize("spec", [V, S1, S2, S3] + [ModuleSpec.standard(k) for k in (4, 5, 6)])
+@pytest.mark.parametrize("spec", [V, S1, S2, S3] + [ModuleSpec(k) for k in (4, 5, 6)])
 def test_block_recursion_matches_pair_sum(spec):
     for qmax in range(11):
         assert character_fermionic(spec, qmax) == pair_sum_character(spec, qmax), qmax
 
 
-@pytest.mark.parametrize("spec", [ModuleSpec.standard(6), V])
+@pytest.mark.parametrize("spec", [ModuleSpec(6), V])
 def test_block_recursion_matches_pair_sum_at_qmax_12(spec):
     assert character_fermionic(spec, 12) == pair_sum_character(spec, 12)
 
@@ -274,9 +274,9 @@ def test_monotone_in_level():
 def test_stabilization_iff_level_reaches_truncation(qmax):
     verma = character_fermionic(V, qmax)
     level = max(qmax, 1)
-    assert character_fermionic(ModuleSpec.standard(level), qmax) == verma
+    assert character_fermionic(ModuleSpec(level), qmax) == verma
     if qmax >= 2:  # below that the level cannot drop under 1
-        assert character_fermionic(ModuleSpec.standard(qmax - 1), qmax) != verma
+        assert character_fermionic(ModuleSpec(qmax - 1), qmax) != verma
 
 
 def test_constant_term_is_one():

@@ -33,10 +33,10 @@ from qpchar.qp_enum import (
 )
 from qpchar.series import _slot_width
 
-S1 = ModuleSpec.standard(1)
-S2 = ModuleSpec.standard(2)
-S3 = ModuleSpec.standard(3)
-V = ModuleSpec.verma()
+S1 = ModuleSpec(1)
+S2 = ModuleSpec(2)
+S3 = ModuleSpec(3)
+V = ModuleSpec()
 
 
 # --- QPMonomial -------------------------------------------------------------
@@ -330,7 +330,7 @@ def test_run_slack_is_partitions_into_at_most_l_parts(length, tmax):
 
 # --- the color-1-grouped count vs the per-type count --------------------------
 
-@pytest.mark.parametrize("spec", [S1, S2, S3, ModuleSpec.standard(4)], ids=["L1", "L2", "L3", "L4"])
+@pytest.mark.parametrize("spec", [S1, S2, S3, ModuleSpec(4)], ids=["L1", "L2", "L3", "L4"])
 def test_enumerate_equals_per_type_count_standard(spec):
     for qmax in range(13):
         assert enumerate_basis(spec, qmax) == per_type_basis_count(spec, qmax), qmax
@@ -343,7 +343,7 @@ def test_enumerate_equals_per_type_count_verma():
 
 # --- the packed count vs the list DP it replaced -----------------------------
 
-@pytest.mark.parametrize("spec", [S1, S2, S3, ModuleSpec.standard(4)], ids=["L1", "L2", "L3", "L4"])
+@pytest.mark.parametrize("spec", [S1, S2, S3, ModuleSpec(4)], ids=["L1", "L2", "L3", "L4"])
 def test_packed_count_equals_list_count_standard(spec):
     for qmax in range(13):
         assert enumerate_basis(spec, qmax) == list_basis_count(spec, qmax), qmax
@@ -358,7 +358,7 @@ def test_packed_count_equals_list_count_verma():
     "spec,qmax",
     [
         *(pytest.param(spec, qmax, id=f"L{k}-{qmax}")
-          for k, spec in enumerate((S1, S2, S3, ModuleSpec.standard(4)), 1)
+          for k, spec in enumerate((S1, S2, S3, ModuleSpec(4)), 1)
           for qmax in range(13) if (k, qmax) != (2, 4)),
         # a floor shift of `size` slots or more must empty the row: shifting
         # it anyway carries each block into the low slots of the next y2

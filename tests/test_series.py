@@ -130,8 +130,8 @@ CLONES = [("pickle", lambda s: pickle.loads(pickle.dumps(s))), ("copy", copy.cop
 # are stored unchecked (the two kernels' from packed totals); each clone is
 # rebuilt through the checking constructor, so it checks the stored terms
 SOURCES = [("", lambda: TruncatedSeries(3, {(0, 0, 0): 1, (2, 1, 1): -4, (3, 0, 2): 2 ** 70})),
-           ("-fermionic", lambda: character_fermionic(ModuleSpec.standard(2), 8)),
-           ("-enumerate", lambda: enumerate_basis(ModuleSpec.verma(), 8)),
+           ("-fermionic", lambda: character_fermionic(ModuleSpec(2), 8)),
+           ("-enumerate", lambda: enumerate_basis(ModuleSpec(), 8)),
            ("-pbw-product", lambda: product_side(8)),
            ("-pbw-enumerate", lambda: pbw_enumerated(8))]
 
