@@ -24,7 +24,9 @@ time.  A pair (r1, r2) has at most k blocks iff len(r1) <= k and
 len(r2) <= 3k, so the level-k caps become "at most k blocks".
 """
 
+from bisect import bisect
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 from .series import TruncatedSeries, _from_packed, _pack, _slot_width, validate_trunc
@@ -72,42 +74,32 @@ def validate_spec(spec) -> None:
         raise TypeError(f"spec must be a ModuleSpec, got {spec!r}")
 
 
-def _blocks(qmax: int) -> list[list[tuple[int, int, int, int]]]:
-    """Row a lists every nonzero block (e, x, y, z) with color-1 count a,
-    color-2 counts x >= y >= z and exponent share
-    e = a^2 + x^2 + y^2 + z^2 - a(x+y+z) <= qmax, sorted by e.
+def _blocks(qmax: int) -> list[tuple[int, int, int, int, int]]:
+    """Every nonzero block (e, a, x, y, z), with color-1 count a, color-2
+    counts x >= y >= z and exponent share
+    e = a^2 + x^2 + y^2 + z^2 - a(x+y+z) <= qmax, sorted.
 
     The share is a^2/4 + (x - a/2)^2 + (y - a/2)^2 + (z - a/2)^2, so it is
     at least a^2/4 and at least (x - a/2)^2: every such block has
     a <= 2 sqrt(qmax) and x <= a/2 + sqrt(qmax), inside the box filtered.
     """
-    rows = []
+    blocks = []
     for a in range(isqrt(4 * qmax) + 1):
-        row = []
         for x in range(a // 2 + isqrt(qmax) + 2):
             for y in range(x + 1):
                 for z in range(y + 1):
                     e = a * a + x * x + y * y + z * z - a * (x + y + z)
                     if e <= qmax and (a or x):
-                        row.append((e, x, y, z))
-        rows.append(sorted(row))
-    return rows
+                        blocks.append((e, a, x, y, z))
+    return sorted(blocks)
 
 
-def _move_blocks(rows, a: int | None, z: int | None, low: int, high: int) -> list[tuple[int, int, int, int, int]]:
-    """The blocks (e, a', x, y, z') with share low < e <= high that a step
-    may append to a state whose last block has color-1 count a and last
-    color-2 count z: those of rows a' <= a of `rows` with x <= z, or of
-    every row for the start state (a and z None), sorted by share."""
-    blocks = []
-    for a2, row in enumerate(rows if a is None else rows[:a + 1]):
-        for e, x, y, w in row:
-            if e > high:
-                break
-            if e > low and (a is None or x <= z):
-                blocks.append((e, a2, x, y, w))
-    blocks.sort()
-    return blocks
+def _move_blocks(blocks, a: int | None, z: int | None, high: int) -> list[tuple[int, int, int, int, int]]:
+    """The blocks (e, a', x, y, z') of `blocks` with share e <= high that a
+    step may append to a state whose last block has color-1 count a and
+    last color-2 count z: those with a' <= a and x <= z, or every one for
+    the start state (a and z None), in the order of `blocks`."""
+    return [b for b in blocks[:bisect(blocks, (high + 1,))] if a is None or (b[1] <= a and b[2] <= z)]
 
 
 def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
@@ -136,10 +128,17 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     from it may append (`_move_blocks`), sorted by share, each with its
     target-key deltas and its factor q^e prod_d 1/(q)_d, already shifted
     and masked.  A state stops at the first move over qmax less its lowest
-    power.  The lists are filled lazily: a pair's list is made when a state
-    first reaches it and holds the moves that state may take, and it is
-    extended when a later state of the pair may take moves of larger
-    share.  So no factor is made for a move no state takes.
+    power.  A pair's list is made once, at the first step from the pair,
+    and holds the moves of share e <= qmax - least, where least is the
+    share of the cheapest block ending in (a, z) (0 for the start state).
+    That is every move a state of the pair may take: each move's factor is
+    q^e times a series with constant term 1 and no negative coefficient,
+    so a state's lowest power is the smallest sum of shares over the block
+    sequences reaching it, and each such sum is at least its last block's
+    share, so at least `least`.  A pair no state steps from gets no list.
+    Only at level 1 is there such a pair: any block that ends a sequence
+    within qmax is a first move within qmax, so from level 2 on each pair
+    is reached by a state that may still step.
 
     States, totals, the factors and their products are held in the packed
     form of `series` (`_pack`), `_slot_width(qmax)` bits per power of q,
@@ -173,21 +172,21 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
         for j in range(d, qmax + 1):
             coeffs[j] += coeffs[j - d]
         inv.append(_pack(coeffs, width))
-    by_diffs: dict[tuple[int, ...], int] = {}
 
+    @cache
     def product(diffs: tuple[int, ...]) -> int:
         # prod_d 1/(q)_d through q^qmax, packed
-        poch = by_diffs.get(diffs)
-        if poch is None:
-            poch = 1
-            for d in diffs:
-                poch = poch * inv[min(d, qmax)] & mask
-            by_diffs[diffs] = poch
+        poch = 1
+        for d in diffs:
+            poch = poch * inv[min(d, qmax)] & mask
         return poch
 
-    rows = _blocks(qmax)
-    # (a, z) -> [largest share whose moves are made, the moves
-    # (e, a', z', y2 step, factor) sorted by share, closing factor]
+    blocks = _blocks(qmax)
+    # the share of the cheapest block ending in each (a, z), the first in
+    # `blocks`; the start state, whose pair ends no block, reads 0
+    least = {(a, z): e for e, a, _x, _y, z in reversed(blocks)}
+    # (a, z) -> [the moves (e, a', z', y2 step, factor) sorted by share,
+    # or None before the first step from the pair, closing factor]
     moves: dict[tuple[int | None, int | None], list] = {}
     # states keyed by y1 + y2 degree; the start state has no block yet
     layers = {0: {(None, None, 0, 0, spec.level): 1}}
@@ -196,18 +195,18 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
         for (a, pz, u, v, left), coeffs in layers.pop(min(layers)).items():
             pair = moves.get((a, pz))
             if pair is None:
-                pair = moves[a, pz] = [0, [], 1 if a is None else product((a, pz))]
-            made, steps, close = pair
+                pair = moves[a, pz] = [None, 1 if a is None else product((a, pz))]
+            steps, close = pair
             totals[u, v] = totals.get((u, v), 0) + (coeffs * close & mask)
             if left == 0:
                 continue
-            nleft = None if left is None else left - 1
-            cap = qmax - ((coeffs & -coeffs).bit_length() - 1) // width
-            if cap > made:
-                for e, a2, x, y, z in _move_blocks(rows, a, pz, made, cap):
+            if steps is None:
+                steps = pair[0] = []
+                for e, a2, x, y, z in _move_blocks(blocks, a, pz, qmax - least.get((a, pz), 0)):
                     diffs = (x - y, y - z) if a is None else (a - a2, pz - x, x - y, y - z)
                     steps.append((e, a2, z, x + y + z, product(diffs) << e * width & mask))
-                pair[0] = cap
+            nleft = None if left is None else left - 1
+            cap = qmax - ((coeffs & -coeffs).bit_length() - 1) // width
             for e, a2, z, dv, factor in steps:
                 if e > cap:
                     break

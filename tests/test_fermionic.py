@@ -11,6 +11,7 @@ from oracles import (
     pair_sum_character,
     total_exponent,
 )
+from qpchar import fermionic
 from qpchar.fermionic import ModuleSpec, _blocks, _move_blocks, character_fermionic
 from qpchar.partitions import validate_partition
 
@@ -173,20 +174,16 @@ def _reference_character(spec, qmax):
 @pytest.mark.parametrize("qmax", range(13))
 def test_block_table_matches_filter_over_wider_box(qmax):
     # every nonzero block with share <= qmax, found in a box twice as wide
-    # as the one `_blocks` filters, grouped by color-1 count a
-    wide = {}
+    # as the one `_blocks` filters, each once, sorted
+    wide = []
     for a in range(2 * (isqrt(4 * qmax) + 1)):
         for x in range(2 * (a // 2 + isqrt(qmax) + 2)):
             for y in range(x + 1):
                 for z in range(y + 1):
                     e = a * a + x * x + y * y + z * z - a * (x + y + z)
                     if e <= qmax and (a or x):
-                        wide.setdefault(a, []).append((e, x, y, z))
-    rows = _blocks(qmax)
-    assert {a for a, row in enumerate(rows) if row} == set(wide)
-    for a, row in enumerate(rows):
-        assert sorted(row) == sorted(wide.get(a, [])), a
-        assert [b[0] for b in row] == sorted(b[0] for b in row), a
+                        wide.append((e, a, x, y, z))
+    assert _blocks(qmax) == sorted(wide)
 
 
 @pytest.mark.parametrize("spec", [S1, S2, V])
@@ -205,53 +202,108 @@ def test_block_recursion_matches_pair_sum_at_qmax_12(spec):
     assert character_fermionic(spec, 12) == pair_sum_character(spec, 12)
 
 
-def _reached_pairs(rows):
+def _reached_pairs(blocks):
     # the start state, and the last counts (a, z) of every block: each block
     # within the truncation can be the first one appended
-    return {(None, None)} | {(a, z) for a, row in enumerate(rows) for _e, _x, _y, z in row}
+    return {(None, None)} | {(a, z) for _e, a, _x, _y, z in blocks}
 
 
 @pytest.mark.parametrize("qmax", range(13))
 def test_move_blocks_are_the_allowed_blocks_by_share(qmax):
-    rows = _blocks(qmax)
-    for a, z in _reached_pairs(rows):
-        # the start state (a None) may append a block of any row
-        want = [
-            (e, a2, x, y, w)
-            for a2, row in enumerate(rows)
-            for e, x, y, w in row
-            if a is None or (a2 <= a and x <= z)
-        ]
-        got = _move_blocks(rows, a, z, 0, qmax)
-        assert sorted(got) == sorted(want), (a, z)
-        assert [m[0] for m in got] == sorted(m[0] for m in got), (a, z)
-        # a list extended share range by share range is the whole list
-        for mid in range(qmax + 1):
-            assert _move_blocks(rows, a, z, 0, mid) + _move_blocks(rows, a, z, mid, qmax) == got, (a, z, mid)
+    blocks = _blocks(qmax)
+    for a, z in _reached_pairs(blocks):
+        # the start state (a None) may append any block
+        want = sorted((e, a2, x, y, w) for e, a2, x, y, w in blocks if a is None or (a2 <= a and x <= z))
+        got = _move_blocks(blocks, a, z, qmax)
+        assert got == want, (a, z)
+        # a lower bound on the share gives a prefix of the list: its moves
+        # of share <= high
+        for high in range(qmax + 1):
+            part = _move_blocks(blocks, a, z, high)
+            assert part == got[:len(part)] == [m for m in got if m[0] <= high], (a, z, high)
 
 
 @pytest.mark.parametrize("qmax", range(13))
 def test_moves_after_zero_counts_are_empty(qmax):
     # a block (x, y, 0) of color 1 count 0 ends every sequence: a next block
     # would need a' <= 0 and x <= 0, so it would be zero
-    assert _move_blocks(_blocks(qmax), 0, 0, 0, qmax) == []
+    assert _move_blocks(_blocks(qmax), 0, 0, qmax) == []
 
 
 def test_moves_at_qmax_zero():
     # no nonzero block has share 0, so the start state closes alone
-    assert _blocks(0) == [[]]
-    assert _move_blocks(_blocks(0), None, None, 0, 0) == []
+    assert _blocks(0) == []
+    assert _move_blocks(_blocks(0), None, None, 0) == []
 
 
 @pytest.mark.parametrize("spec", [S1, V])
 def test_moves_at_qmax_one_clamp_the_closing_difference(spec):
     # the block (a, x, y, z) = (2, 1, 1, 1) has share 1; closing after it
     # takes 1/(q)_2 (q)_1, and 1/(q)_2 is read as 1/(q)_1 at qmax 1
-    rows = _blocks(1)
-    assert (1, 2, 1, 1, 1) in _move_blocks(rows, None, None, 0, 1)
-    # a state after it holds q^1, so it may append no block
-    assert _move_blocks(rows, 2, 1, 0, 0) == []
+    blocks = _blocks(1)
+    assert (1, 2, 1, 1, 1) in _move_blocks(blocks, None, None, 1)
+    # a state after it holds q^1, so its pair's list is made to share 0,
+    # and it may append no block
+    assert _least(2, 1) == 1
+    assert _move_blocks(blocks, 2, 1, 0) == []
     assert character_fermionic(spec, 1).coeff((1, 2, 3)) == 1
+
+
+def _least(a, z):
+    # the share of the cheapest block ending in (a, z): the share is
+    # a^2/4 + (x - a/2)^2 + (y - a/2)^2 + (z - a/2)^2 with x >= y >= z, so
+    # x = y = max(z, a // 2); for (0, 0) that is the zero block, which is no
+    # block, and the cheapest is (0; 1, 0, 0)
+    if (a, z) == (0, 0):
+        return 1
+    x = max(z, a // 2)
+    return a * a + 2 * x * x + z * z - a * (2 * x + z)
+
+
+def test_least_share_closed_form_matches_block_table():
+    cheapest = {}
+    for e, a, _x, _y, z in _blocks(40):
+        cheapest[a, z] = min(e, cheapest.get((a, z), e))
+    assert {pair: _least(*pair) for pair in cheapest} == cheapest
+
+
+def _stepping_pairs(level, qmax):
+    # the start state, and the last counts (a, z) of every block sequence of
+    # total share <= qmax with fewer than `level` blocks (any number without
+    # a level): the pairs of the states a step is taken from.  `reach` maps
+    # the pairs after j blocks to their least total share.
+    blocks = _blocks(qmax)
+    pairs, reach, j = {(None, None)}, {(None, None): 0}, 0
+    while reach and (level is None or j + 1 < level):
+        after = {}
+        for (a, z), s in reach.items():
+            for e, a2, x, _y, w in blocks:
+                if s + e <= qmax and (a is None or (a2 <= a and x <= z)):
+                    after[a2, w] = min(s + e, after.get((a2, w), s + e))
+        pairs |= set(after)
+        reach, j = after, j + 1
+    return pairs
+
+
+@pytest.mark.parametrize("spec", [S1, S2, S3, ModuleSpec(6), V])
+def test_move_lists_made_once_to_the_pair_floor(spec, monkeypatch):
+    # each pair's move list is made once, at the first step from the pair,
+    # to share qmax - least: no state of the pair holds a power below least
+    calls = []
+
+    def spy(blocks, a, z, high):
+        calls.append((a, z, high))
+        return _move_blocks(blocks, a, z, high)
+
+    monkeypatch.setattr(fermionic, "_move_blocks", spy)
+    for qmax in range(13):
+        calls.clear()
+        character_fermionic(spec, qmax)
+        pairs = [(a, z) for a, z, _high in calls]
+        assert len(pairs) == len(set(pairs)), qmax
+        assert set(pairs) == _stepping_pairs(spec.level, qmax), qmax
+        for a, z, high in calls:
+            assert high == qmax - (0 if a is None else _least(a, z)), (qmax, a, z)
 
 
 @pytest.mark.parametrize("qmax,error", [(-1, ValueError), (2.0, TypeError), (True, TypeError)])
