@@ -351,31 +351,17 @@ def _run_slack(length: int, tmax: int) -> list[int]:
     counts the run's mode vectors whose energy is t above its greedy
     minimum, for t <= tmax.
 
-    The run is walked by the gap rule itself, for charge 1 with the first
-    mode at most 0: each later mode is at least 2 below the one before.
-    A run of charge n whose first bound is B has the same table, since
-    m_i -> B + m_i - 2(n-1)i maps one walk onto the other and keeps every
-    energy's distance from the greedy minimum.  The i-th mode's slack, its
-    drop below the greedy value -2i, is at least the previous mode's, so
-    the walk is memoized on (position, least slack still allowed): a mode
-    either takes that slack s, and the later modes keep slack >= s, or it
-    steps one lower, to slack >= s + 1.  Taking s puts the later modes'
-    counts s further along the excess, and a slack s that the later
-    positions cannot afford even at s each ends the step-down.  So the
-    vectors are counted, never listed.  T_l counts partitions into at most
-    l parts, the expansion of 1/(q)_l.
+    By the gap rule a run is its greedy minimum plus l weakly increasing
+    slacks, so T_l counts partitions into at most l parts, the expansion of
+    1/(q)_l.  Either the first slack is 0 and the other l - 1 form a run, or
+    every slack is >= 1 and taking one from each leaves a run of l slacks
+    with sum t - l: T_l(t) = T_(l-1)(t) + T_l(t - l), from T_0 = [1, 0, ...].
     """
-    # walks[s]: the counts of the positions after the current one, by
-    # their excess, when the next one's slack is at least s; after the last
-    # position only the empty walk is left, of excess 0
-    walks = [[1] + [0] * tmax] * (tmax + 1)
-    for rest in range(1, length + 1):  # positions from the current one on
-        here = [[0] * (tmax + 1)]  # a slack past tmax // rest: over budget
-        for s in range(tmax // rest, -1, -1):
-            take, lower = walks[s], here[-1]
-            here.append(lower[:s] + [a + b for a, b in zip(lower[s:], take)])
-        walks = here[::-1]
-    return walks[0]
+    counts = [1] + [0] * tmax
+    for l in range(1, length + 1):
+        for t in range(l, tmax + 1):
+            counts[t] += counts[t - l]
+    return counts
 
 
 def _color2_counts(n1: Partition, budget: int, cap: int | None,

@@ -297,12 +297,14 @@ def test_dual_count_floor_is_least_energy_beside_n1(spec):
 # --- run slack tables --------------------------------------------------------
 
 @pytest.mark.parametrize("color", [1, 2])
-@pytest.mark.parametrize("length,charge", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 3), (4, 1)])
+@pytest.mark.parametrize("length,charge", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 3), (4, 1), (5, 1), (5, 2)])
 def test_run_slack_counts_valid_runs(color, length, charge):
     # every run of `length` equal charges that is_valid accepts, found by a
     # box search over modes at most `tmax` below their bounds; color 2 sits
     # beside one color-1 particle of charge 1 at its bound, so its bounds
-    # carry the cross term min(3, charge)
+    # carry the cross term min(3, charge).  This is the guard of T_l that
+    # shares nothing with `_run_slack`; at length 5 the table, 10 at t = 6,
+    # falls below p(6) = 11, so it sees the cut to at most l parts
     tmax = 6
     cross = min(3, charge) if color == 2 else 0
     bounds = [-charge * (1 + 2 * p) + cross for p in range(length)]
@@ -320,7 +322,9 @@ def test_run_slack_counts_valid_runs(color, length, charge):
     "length,tmax", [*((length, 15) for length in range(7)), (12, 80)], ids=[*map(str, range(7)), "12-80"]
 )
 def test_run_slack_is_partitions_into_at_most_l_parts(length, tmax):
-    # the expansion of 1/(q)_l: one geometric factor 1/(1 - q^i) per i <= l
+    # the expansion of 1/(q)_l: one geometric factor 1/(1 - q^i) per i <= l.
+    # `_run_slack` runs this same recurrence, so this pins the table to
+    # 1/(q)_l only; `test_run_slack_counts_valid_runs` ties it to `is_valid`
     want = [1] + [0] * tmax
     for i in range(1, length + 1):
         for j in range(i, tmax + 1):
@@ -401,8 +405,8 @@ def test_enumeration_equals_fermionic_sum_deep(spec):
 
 @pytest.mark.parametrize(
     "spec,qmax",
-    [(S1, 20), (S2, 16), (S3, 13), (V, 12), (S3, 20), (V, 16), (V, 20)],
-    ids=["L1-20", "L2-16", "L3-13", "V-12", "L3-20", "V-16", "V-20"],
+    [(S1, 20), (S2, 16), (S3, 13), (V, 12), (S3, 20), (V, 16), (V, 20), (V, 24)],
+    ids=["L1-20", "L2-16", "L3-13", "V-12", "L3-20", "V-16", "V-20", "V-24"],
 )
 def test_enumeration_equals_fermionic_sum_deeper(spec, qmax):
     # past the benchmark's basis points (L k=1,2,3 at qmax 16, 13, 11)
