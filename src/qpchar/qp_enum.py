@@ -48,9 +48,10 @@ the budget, and then each color's mode vectors are walked (`_mode_vectors`),
 the color-1 vectors once per n1 at the budget of its cheapest n2.
 The tests check the two against each other.  Both take their color-1 dual
 counts r1 from `_color1_dual_counts` and their color-2 floor, the exact
-least cost of the particles still to come, from `_color2_floor`, so these
-are checked against exhaustive boxes and the fermionic sum, not between
-the two; `is_valid` states the color-2 bound on its own.
+least cost of the particles still to come, with the range of charges that
+can fit, from `_color2_floor`, so these are checked against exhaustive
+boxes and the fermionic sum, not between the two; `is_valid` states the
+color-2 bound on its own.
 """
 
 from dataclasses import dataclass
@@ -200,21 +201,23 @@ def _color1_dual_counts(spec: ModuleSpec, qmax: int) -> Iterator[Partition]:
     return grow(0)
 
 
-def _color2_floor(n1: Partition, budget: int) -> tuple[int, list[int], list[list[int]]]:
-    """The color-2 cost floor beside the color-1 charges n1: (c*, X, least).
+def _color2_floor(n1: Partition, budget: int, cap: int | None) -> tuple[list[int], list[list[int]]]:
+    """The color-2 cost floor beside the color-1 charges n1, and the range
+    of charges that can fit the budget under the cap (None: uncapped):
+    (X, least), both listed for every charge c <= top, the largest one that
+    can fit.
 
     The p-th particle (0-based) of charge c costs at least f_p(c) =
     c(1 + 2p) - X(c), X(c) = sum over a in n1 of min(3a, c), the negated
-    bound.  X is listed for c <= c* = 3 max(n1); past c* it stays 3|n1|
-    and f_p grows with c.  X(c) - X(c - 1) counts the a in n1 with
-    3a >= c, so X is built step by step.  X(c) <= c * len(n1), so
-    f_p(c) >= 0 once 1 + 2p >= len(n1): only the first len(n1) // 2
-    positions can cost < 0, and each position past len(n1) // 2 costs at
-    least 2.  `least[c][p]`, the exact least cost of weakly decreasing
-    particles at positions >= p with charges <= c (none at all costs 0),
-    is thus 0 from p = len(n1) // 2 on, least[c*][p] past c*, and else
-    min(least[c - 1][p], f_p(c) + least[c][p + 1]), as the particle at p,
-    if any, has charge c or less.  It is exact, not only a lower bound, as
+    bound.  Past c* = 3 max(n1), X stays 3|n1| and f_p grows with c.
+    X(c) - X(c - 1) counts the a in n1 with 3a >= c, so X is built step by
+    step.  X(c) <= c * len(n1), so f_p(c) >= 0 once 1 + 2p >= len(n1): only
+    the first len(n1) // 2 positions can cost < 0, and each position past
+    len(n1) // 2 costs at least 2.  `least[c][p]`, the exact least cost of
+    weakly decreasing particles at positions >= p with charges <= c (none
+    at all costs 0), is thus 0 from p = len(n1) // 2 on, least[c*][p] past
+    c*, and else min(least[c - 1][p], f_p(c) + least[c][p + 1]), as the
+    particle at p, if any, has charge c or less.  It is exact, not only a lower bound, as
     `_color2_counts` needs: it completes partial vectors at their floor.
 
     Each row least[c] is padded with zeros to len(n1) // 2 + size + 3
@@ -227,6 +230,12 @@ def _color2_floor(n1: Partition, budget: int) -> tuple[int, list[int], list[list
     each particle of a run raises its floor step by at least 2, so the
     last position it reads is at most max(p, len(n1) // 2) + 2 +
     (size - 1) / 2.
+
+    A list holding a charge c > c* leads with such a charge, which costs
+    c - X(c*) at position 0, and the rest cost at least least[c*][1], so
+    no charge above top = max(c*, budget + X(c*) - least[c*][1]) fits,
+    nor above the cap.  Past c* each entry of X is X(c*) and each row of
+    least is the row least[c*] itself; a cap below c* cuts both tables.
     """
     npos = len(n1) // 2  # positions where a particle can cost < 0
     cstar = 3 * n1[0] if n1 else 0
@@ -245,7 +254,11 @@ def _color2_floor(n1: Partition, budget: int) -> tuple[int, list[int], list[list
     pad = [0] * (max(budget - least[cstar][0] + 1, 0) + 2)
     for row in least:
         row += pad
-    return cstar, xs, least
+    top = max(cstar, budget + xs[cstar] - least[cstar][1])
+    if cap is not None:
+        top = min(top, cap)
+    more = top - cstar  # rows past c*, or < 0 for a cap below c*
+    return xs[:top + 1] + [xs[cstar]] * more, least[:top + 1] + [least[cstar]] * more
 
 
 def _color2_charge_lists(n1: Partition, budget: int, cap: int | None) -> Iterator[tuple[Partition, int]]:
@@ -256,28 +269,26 @@ def _color2_charge_lists(n1: Partition, budget: int, cap: int | None) -> Iterato
     n2 grows weakly decreasing, each prefix before its extensions.  f_p(c)
     can be negative, so a prefix takes charge c at position p only if its
     cost plus f_p(c) plus the floor `least[c][p + 1]` of `_color2_floor`
-    fits the budget.  Past c*, f_p grows with c and least stays put, so
-    there a charge that does not fit ends the position's charges.
+    fits the budget.  The charges run through the range of the floor
+    tables, each at most the one before.  Once X has stopped growing, f_p
+    grows with c and least stays put, so there a charge that does not fit
+    ends the position's charges.
     """
-    cstar, xs, least = _color2_floor(n1, budget)
+    xs, least = _color2_floor(n1, budget, cap)
     n2: list[int] = []
 
     def grow(acc: int) -> Iterator[tuple[Partition, int]]:
         if acc <= budget:
             yield tuple(n2), acc
         p = len(n2)
-        top = n2[-1] if n2 else cap
-        c = 1
-        while top is None or c <= top:
-            cc = min(c, cstar)
-            cost = acc + c * (1 + 2 * p) - xs[cc]
-            if cost + least[cc][p + 1] <= budget:
+        for c in range(1, (n2[-1] if n2 else len(xs) - 1) + 1):
+            cost = acc + c * (1 + 2 * p) - xs[c]
+            if cost + least[c][p + 1] <= budget:
                 n2.append(c)
                 yield from grow(cost)
                 n2.pop()
-            elif c >= cstar:
+            elif xs[c] == xs[-1]:
                 break
-            c += 1
 
     return grow(0)
 
@@ -377,11 +388,11 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     Callers pass an n1 that `_color1_dual_counts` admits, with `budget` =
     qmax - e1, e1 its greedy color-1 energy.  Then lo <= budget and counts
     is never empty.  The walk admits r1 while its floor, the sum over r1 of
-    ceil(a^2/4), is <= qmax, and that floor is e1 + least[c*][0]: both are
-    the least energy of a monomial with color-1 charges n1, once as the
-    least exponent of the fermionic terms at r1 and once as e1 plus the
-    least color-2 energy beside n1.  The cap is 3k >= c*, so lo =
-    least[c*][0], and the color-2 list of least energy fits the budget.
+    ceil(a^2/4), is <= qmax, and that floor is e1 + lo: both are the least
+    energy of a monomial with color-1 charges n1, once as the least
+    exponent of the fermionic terms at r1 and once as e1 plus the least
+    color-2 energy beside n1, lo = least[top][0] over the whole range of
+    `_color2_floor`.
 
     The p-th particle of charge c costs at least f_p(c) = c(1 + 2p) - X(c),
     as in `_color2_floor`.  A DP runs over charge values c from the largest
@@ -406,9 +417,7 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     falls from one charge value to the next, starts at lo, the least[c][0]
     of the largest charge c, and ends as the energy itself, so a state
     above `budget` has no completion within it and every state lies in
-    [lo, budget].  The first particle of a charge c > c* costs c - X(c*)
-    and the rest at least least[c*][1], so no charge above
-    max(c*, budget + X(c*) - least[c*][1]) fits, nor above the cap.
+    [lo, budget].  No charge past the range of `_color2_floor` fits.
 
     The packing is exact because no slot at or below `budget` can reach
     2^width, `width` being `_slot_width(qmax)` from `enumerate_basis`.
@@ -439,11 +448,8 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     the row to 0 and never shifts it, since that would cross blocks.
     """
     npos = len(n1) // 2  # positions where a particle can cost < 0
-    cstar, xs, least = _color2_floor(n1, budget)
-    top = max(cstar, budget + xs[cstar] - least[cstar][1])
-    if cap is not None:
-        top = min(top, cap)
-    lo = least[cstar][0]  # top >= c*, since the cap 3k >= c*
+    xs, least = _color2_floor(n1, budget, cap)
+    lo = least[-1][0]  # the least over every charge that fits
     size = budget - lo + 1  # slots: state energies lo..budget
     stride = 2 * size * width  # bits per y2 degree: `size` slots and a guard as wide
     cuts = [(1 << width * j) - 1 for j in range(size + 1)]  # low j slots
@@ -451,9 +457,8 @@ def _color2_counts(n1: Partition, budget: int, cap: int | None,
     # rows[p]: the states of p particles so far, block v the packed counts of
     # y2 degree v, slot j at state energy lo + j; one row per position of least
     rows = [1] + [0] * (len(least[0]) - 1)
-    for c in range(top, 0, -1):
-        cc, cm = min(c, cstar), min(c - 1, cstar)
-        x, now, nxt = xs[cc], least[cc], least[cm]
+    for c in range(len(xs) - 1, 0, -1):
+        x, now, nxt = xs[c], least[c], least[c - 1]
         # a run moves p up, so taking p downward never feeds a row twice
         for p in range(len(rows) - 1, -1, -1):
             row = rows[p]

@@ -218,35 +218,45 @@ def test_color2_charge_lists_yield_least_energy(n1, budget, cap):
         assert n2 not in seen
         seen.add(n2)
     assert got == list(weak_floor_charge_lists(n1, budget, cap))
+    # the range of `_color2_floor` is no wider than needed: past c* its
+    # largest charge leads a list that fits, the cheapest tail behind it
+    top = len(_color2_floor(n1, budget, cap)[0]) - 1
+    if top > 3 * max(n1, default=0):
+        assert any(n2[:1] == (top,) for n2, _e2_min in got), (n1, budget, cap)
 
 
 def test_color2_floor_is_least_cost_of_later_particles():
     # least[c][p] is the exact least of sum f_{p+i}(c_i) over weakly
     # decreasing c_0 >= c_1 >= ... with c_0 <= c, the empty list costing 0;
     # f and X are restated here.  The box search takes lists up to position
-    # len(n1): past (len(n1) - 1) / 2 every f is >= 0, as X(c) <= c len(n1)
+    # len(n1): past (len(n1) - 1) / 2 every f is >= 0, as X(c) <= c len(n1).
+    # It is memoized by (position, leading charge), so it reaches every row
+    # of the range, which the budget can put far past c*
     for n1 in _partitions_in_box(5, 3):
-        cstar, xs, least = _color2_floor(n1, 0)
-        assert xs == [sum(min(3 * a, c) for a in n1) for c in range(cstar + 1)], n1
-        cmax = cstar + 2
-        f = [[c * (1 + 2 * q) - sum(min(3 * a, c) for a in n1) for c in range(cmax + 1)]
-             for q in range(len(n1) + 1)]
-        for p in range(len(n1) // 2 + 2):
-            # best[c]: the least cost of the empty list and the lists led by c
-            best = [0] * (cmax + 1)
+        cstar = 3 * max(n1, default=0)
 
-            def walk(q: int, top: int, acc: int, lead: int) -> None:
-                if q > len(n1):
-                    return
-                for c in range(1, top + 1):
-                    cost = acc + f[q][c]
-                    head = lead or c
-                    best[head] = min(best[head], cost)
-                    walk(q + 1, c, cost, head)
+        def f(q: int, c: int) -> int:
+            return c * (1 + 2 * q) - sum(min(3 * a, c) for a in n1)
 
-            walk(p, cmax, 0, 0)
-            for c in range(cmax + 1):
-                assert least[min(c, cstar)][p] == min(best[:c + 1]), (n1, p, c)
+        @cache
+        def led(q: int, c: int) -> int:
+            # the least cost of the lists at positions q.. led by charge c
+            later = [led(q + 1, d) for d in range(1, c + 1)] if q < len(n1) else []
+            return f(q, c) + min(later + [0])
+
+        def best(p: int, c: int) -> int:
+            return min([led(p, d) for d in range(1, c + 1)] + [0])
+
+        # the budget puts top past c* + 2 for every n1; the caps cut at
+        # c* + 2 and below c*
+        for budget, cap in [(0, None), (10, None), (10, cstar + 2), (3, max(cstar // 2, 1))]:
+            xs, least = _color2_floor(n1, budget, cap)
+            top = max(cstar, budget + 3 * sum(n1) - best(1, cstar))
+            assert len(xs) == len(least) == (top if cap is None else min(top, cap)) + 1, (n1, budget, cap)
+            assert xs == [sum(min(3 * a, c) for a in n1) for c in range(len(xs))], n1
+            for c, row in enumerate(least):
+                for p in range(len(n1) // 2 + 2):
+                    assert row[p] == best(p, c), (n1, budget, cap, p, c)
 
 
 def test_color1_mode_vectors_built_once_per_charge_list(monkeypatch):
@@ -269,7 +279,7 @@ def test_color1_mode_vectors_built_once_per_charge_list(monkeypatch):
 
 @pytest.mark.parametrize("spec", [S1, S2, S3, V])
 def test_dual_count_floor_is_least_energy_beside_n1(spec):
-    # the floor sum ceil(a^2/4) that admits r1 is e1 + least[c*][0]: the
+    # the floor sum ceil(a^2/4) that admits r1 is e1 + least[-1][0]: the
     # least energy of a monomial with color-1 charges n1, so the color-2
     # count beside every admitted n1 keeps a list.  The count is run at the
     # least qmax that admits r1, where its budget qmax - e1 is tightest
@@ -283,9 +293,9 @@ def test_dual_count_floor_is_least_energy_beside_n1(spec):
         for r1 in _color1_dual_counts(spec, qmax):
             n1 = conjugate(r1)
             e1 = diag_energy_from_charges(n1)
-            cstar, _xs, least = _color2_floor(n1, qmax - e1)
+            _xs, least = _color2_floor(n1, qmax - e1, spec.color2_cap)
             floor = sum((a * a + 3) // 4 for a in r1)
-            assert floor == e1 + least[cstar][0], r1
+            assert floor == e1 + least[-1][0], r1
             if r1 in seen:
                 continue
             seen.add(r1)
