@@ -105,9 +105,10 @@ def _move_blocks(blocks, a: int | None, z: int | None, high: int) -> list[tuple[
 def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     """Evaluate the fermionic character sum, truncated at q^qmax.
 
-    A state is (a, z, y1 degree, y2 degree, blocks left) after one or more
-    nonzero blocks: a and z are the last block's color-1 count and last
-    color-2 count, and blocks left is None without a cap.  It holds the
+    A state is (a, z, y1 degree u, y2 degree v, blocks left) after one or
+    more nonzero blocks: a and z are the last block's color-1 count and
+    last color-2 count, and blocks left is k less the blocks so far at
+    level k (0 throughout without a cap).  It holds the
     q-series of the sum over every block sequence reaching it, with the
     Pochhammer factors of the differences inside that sequence.  A step
     appends a block (a', x, y, z') with a' <= a and x <= z, multiplying by
@@ -124,13 +125,25 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     product prod_d 1/(q)_d is multiplied out of that table the first time
     its differences occur and looked up by them after that.
 
+    A state is keyed by one int, ((u V + v) L + left) P + pair, with
+    V = 3 qmax + 1, L = k + 1 at level k (1 without a cap), pair = a Z + z
+    for Z one more than the largest x of a block, and the start state the
+    last pair id, P - 1.  The fields never carry into each other: a nonzero
+    block has a <= 2e and x + y + z <= 3e (e >= a^2/4 is an integer >= 1,
+    and 3e - x - y - z is 3a^2 plus 3w^2 - (3a+1)w >= -a^2 for each w of
+    x, y, z), and every state lies on a path of total share <= qmax, so
+    u <= 2 qmax and v <= 3 qmax.  Totals are keyed by u V + v.
+
     Each last-counts pair (a, z) has its own move list: the blocks a step
     from it may append (`_move_blocks`), sorted by share, each with its
-    target-key deltas and its factor q^e prod_d 1/(q)_d, already shifted
-    and masked.  A state stops at the first move over qmax less its lowest
-    power.  A pair's list is made once, at the first step from the pair,
-    and holds the moves of share e <= qmax - least, where least is the
-    share of the cheapest block ending in (a, z) (0 for the start state).
+    share e, its layer step a' + x + y + z, its key delta
+    (a' V + x + y + z) L P - P (without the - P uncapped) + a' Z + z', and
+    its factor q^e prod_d 1/(q)_d, already shifted and masked, so a step
+    adds the delta to the key less its pair.  A state stops at the first
+    move over qmax less its lowest power.  A pair's list is made once, at
+    the first step from the pair, and holds the moves of share
+    e <= qmax - least, where least is the share of the cheapest block
+    ending in (a, z) (0 for the start state).
     That is every move a state of the pair may take: each move's factor is
     q^e times a series with constant term 1 and no negative coefficient,
     so a state's lowest power is the smallest sum of shares over the block
@@ -182,36 +195,48 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
         return poch
 
     blocks = _blocks(qmax)
-    # the share of the cheapest block ending in each (a, z), the first in
-    # `blocks`; the start state, whose pair ends no block, reads 0
-    least = {(a, z): e for e, a, _x, _y, z in reversed(blocks)}
-    # (a, z) -> [the moves (e, a', z', y2 step, factor) sorted by share,
+    # a state's key is ((u * V + v) * L + left) * P + pair, pair = a * Z + z
+    # or the start state's own last id
+    Z = 1 + max((x for _e, _a, x, _y, _z in blocks), default=0)
+    start = Z * (1 + max((a for _e, a, _x, _y, _z in blocks), default=0))
+    P, V = start + 1, 3 * qmax + 1
+    capped = spec.level is not None
+    L = spec.level + 1 if capped else 1
+    # the share of the cheapest block ending in each pair, the first in
+    # `blocks`; the start state, which ends no block, reads 0
+    least = {a * Z + z: e for e, a, _x, _y, z in reversed(blocks)}
+    # pair -> [the moves (e, layer step, key delta, factor) sorted by share,
     # or None before the first step from the pair, closing factor]
-    moves: dict[tuple[int | None, int | None], list] = {}
-    # states keyed by y1 + y2 degree; the start state has no block yet
-    layers = {0: {(None, None, 0, 0, spec.level): 1}}
-    totals: dict[tuple[int, int], int] = {}
-    while layers:
-        for (a, pz, u, v, left), coeffs in layers.pop(min(layers)).items():
-            pair = moves.get((a, pz))
-            if pair is None:
-                pair = moves[a, pz] = [None, 1 if a is None else product((a, pz))]
-            steps, close = pair
-            totals[u, v] = totals.get((u, v), 0) + (coeffs * close & mask)
-            if left == 0:
+    moves: list[list | None] = [None] * P
+    # states by y1 + y2 degree; the start state has no block yet
+    layers: list[dict[int, int] | None] = [{} for _ in range(5 * qmax + 1)]
+    layers[0][(L - 1) * P + start] = 1
+    totals: dict[int, int] = {}
+    for n in range(len(layers)):
+        layer, layers[n] = layers[n], None
+        for key, coeffs in layer.items():
+            pair = key % P
+            base = key - pair
+            uv, left = divmod(base // P, L)
+            entry = moves[pair]
+            if entry is None:
+                entry = moves[pair] = [None, 1 if pair == start else product(divmod(pair, Z))]
+            steps, close = entry
+            totals[uv] = totals.get(uv, 0) + (coeffs * close & mask)
+            if capped and not left:
                 continue
             if steps is None:
-                steps = pair[0] = []
-                for e, a2, x, y, z in _move_blocks(blocks, a, pz, qmax - least.get((a, pz), 0)):
+                a, pz = (None, None) if pair == start else divmod(pair, Z)
+                steps = entry[0] = []
+                for e, a2, x, y, z in _move_blocks(blocks, a, pz, qmax - least.get(pair, 0)):
                     diffs = (x - y, y - z) if a is None else (a - a2, pz - x, x - y, y - z)
-                    steps.append((e, a2, z, x + y + z, product(diffs) << e * width & mask))
-            nleft = None if left is None else left - 1
+                    delta = ((a2 * V + x + y + z) * L - capped) * P + a2 * Z + z
+                    steps.append((e, a2 + x + y + z, delta, product(diffs) << e * width & mask))
             cap = qmax - ((coeffs & -coeffs).bit_length() - 1) // width
-            for e, a2, z, dv, factor in steps:
+            for e, step, delta, factor in steps:
                 if e > cap:
                     break
-                nu, nv = u + a2, v + dv
-                layer = layers.setdefault(nu + nv, {})
-                key = (a2, z, nu, nv, nleft)
-                layer[key] = layer.get(key, 0) + (coeffs * factor & mask)
-    return _from_packed(qmax, width, totals)
+                target = layers[n + step]
+                nkey = base + delta
+                target[nkey] = target.get(nkey, 0) + (coeffs * factor & mask)
+    return _from_packed(qmax, width, {divmod(uv, V): total for uv, total in totals.items()})

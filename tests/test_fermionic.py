@@ -343,3 +343,19 @@ def test_support_bounds():
     for spec in (S1, V):
         for (q, y1, y2), _c in character_fermionic(spec, 6).sorted_terms():
             assert y1 <= 2 * q and y2 <= 3 * q
+
+
+@pytest.mark.parametrize("qmax", [0, 1, 7, 12])
+@pytest.mark.parametrize("level", [1, 2, 3, 6, None])
+def test_top_corner_of_key_range(level, qmax):
+    # q y1^2 y2^3 comes from the block (a, x, y, z) = (2, 1, 1, 1) of share
+    # 1 alone, and q blocks of it give the corner q^q y1^(2q) y2^(3q), whose
+    # y2 degree is the largest a state key holds; at level k a state may
+    # hold at most k blocks, so the corner is 0 past q = k.  A stride one
+    # short, or a blocks-left field that never counts down, moves it.
+    s = character_fermionic(ModuleSpec(level), qmax)
+    for q in range(qmax + 1):
+        assert s.coeff((q, 2 * q, 3 * q)) == (1 if level is None or q <= level else 0), q
+    if level is None:
+        assert max(u for (_q, u, _v) in s.terms) == 2 * qmax
+        assert max(v for (_q, _u, v) in s.terms) == 3 * qmax

@@ -109,6 +109,11 @@ def test_product_equals_fermionic_verma_qmax24():
     assert product_side(24) == character_fermionic(ModuleSpec(), 24)
 
 
+def test_product_equals_fermionic_verma_qmax32():
+    # both sides key their states by ints whose strides grow with qmax
+    assert product_side(32) == character_fermionic(ModuleSpec(), 32)
+
+
 def test_product_side_rejects_bool_truncation():
     with pytest.raises(TypeError):
         product_side(True)
