@@ -23,15 +23,17 @@ number of parts): count}, and folds that table over the six roots.  The
 count never touches series arithmetic or the product's division sweep, so
 the two agree only if both are right.
 
-Both key their working dicts by one int per monomial q^q y1^u y2^v, not by
-a tuple, each with its own arithmetic: `product_side` keys a layer's
-(u, v) as u * stride + v, `pbw_enumerated` a state's (q, u, v) as
-(q * rows + u) * stride + v.  The bounds come from `POSITIVE_ROOTS`: a
-monomial within qmax has at most qmax factors, so u <= max(a) qmax < rows
-and v <= max(b) qmax < stride.  Neither uses the packed format of
-`series`.  Both turn their keys back into (q, u, v) triples once and end
-in `series._built`: their counts are positive and their keys int triples
-within qmax.
+Both hold each q-layer as one int, each with its own arithmetic: the
+coefficient of q^q y1^u y2^v is the `width`-bit slot u * stride + v of
+layer q, so a monomial factor y1^a y2^b is one left shift of a layer by
+(a * stride + b) * width bits.  The stride comes from `POSITIVE_ROOTS`: a
+monomial within qmax has at most qmax factors, so v <= max(b) qmax < stride
+and no slot spills into the next y1 row.  Each method sizes its own slots
+by running its own loop once more at y1 = y2 = 1, and argues in its
+docstring why no slot carries into the next.  Neither uses the packed
+format of `series`.  Both split each layer into rows of stride slots and
+the rows into slots once, at the end, and end in `series._built`: their
+counts are positive and their keys int triples within qmax.
 """
 
 from collections import Counter
@@ -47,28 +49,49 @@ def product_side(qmax: int) -> TruncatedSeries:
     """The six-fold Euler product, one geometric factor per root and q-step.
 
     Each factor 1/(1 - t), t = q^m y1^a y2^b, is divided out of the series
-    1 in place.  `layers[q]` maps the int u * stride + v to the coefficient
-    of q^q y1^u y2^v; a term at q^q has at most q factors, so v <= max(b) q
-    < stride.  Dividing by 1 - t is the single sweep c[q] += t * c[q - m]
-    in increasing q, which adds a * stride + b to each key of the layer it
-    reads: that layer has already been divided.
+    1 in place.  `layers[q]` is one int whose `width`-bit slot
+    u * stride + v holds the coefficient of q^q y1^u y2^v; a term at q^q
+    has at most q factors, so v <= max(b) q < stride.  Dividing by 1 - t is
+    the single sweep c[q] += t * c[q - m] in increasing q, which shifts the
+    layer it reads, already divided, by (a * stride + b) * width bits.
+
+    The width is the bit length of the largest layer total, from the same
+    sweep at y1 = y2 = 1.  It is enough: every coefficient is >= 0, and a
+    slot holds a coefficient of a partial product, so at most the final
+    coefficient at its key, because every factor still to come has constant
+    term 1 and non-negative terms; a final coefficient is at most its
+    layer's total.  So no slot carries into the next.
     """
     validate_trunc(qmax)
     stride = max(b for _a, b in POSITIVE_ROOTS) * qmax + 1
-    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(qmax)]
-    for a, b in POSITIVE_ROOTS:
-        shift = a * stride + b
+    totals = [1] + [0] * qmax
+    for _root in POSITIVE_ROOTS:
         for m in range(1, qmax + 1):
             for q in range(m, qmax + 1):
-                dst = layers[q]
-                get = dst.get
-                for key, c in layers[q - m].items():
-                    key += shift
-                    dst[key] = get(key, 0) + c
-    return _built(
-        qmax,
-        {(q, *divmod(key, stride)): c for q, layer in enumerate(layers) for key, c in layer.items()},
-    )
+                totals[q] += totals[q - m]
+    width = max(totals).bit_length()
+    layers = [1] + [0] * qmax
+    for a, b in POSITIVE_ROOTS:
+        shift = (a * stride + b) * width
+        for m in range(1, qmax + 1):
+            for q in range(m, qmax + 1):
+                layers[q] += layers[q - m] << shift
+    row_bits = stride * width
+    row_mask, slot_mask = (1 << row_bits) - 1, (1 << width) - 1
+    terms = {}
+    for q, layer in enumerate(layers):
+        u = 0
+        while layer:
+            row, v = layer & row_mask, 0
+            while row:
+                c = row & slot_mask
+                if c:
+                    terms[q, u, v] = c
+                row >>= width
+                v += 1
+            layer >>= row_bits
+            u += 1
+    return _built(qmax, terms)
 
 
 def _partition_table(qmax: int) -> dict[tuple[int, int], int]:
@@ -86,35 +109,59 @@ def pbw_enumerated(qmax: int) -> TruncatedSeries:
     The energies of one root's factors form a partition, chosen
     independently of the other roots.  So the count takes the table of
     partitions by (energy e, number of parts n) once, and folds the roots in
-    generator order over running states {key: count}, where the int
-    (q * rows + u) * stride + v stands for q^q y1^u y2^v: a multiset of
-    energy q has at most q factors, so u <= max(a) q < rows and
-    v <= max(b) q < stride.  A state at q meets every (e, n) with
+    generator order over running states, a list by energy q whose entry is
+    one int: its `width`-bit slot u * stride + v counts the multisets at
+    q^q y1^u y2^v, and a multiset of energy q has at most q factors, so
+    v <= max(b) q < stride.  A layer at q meets every (e, n) with
     q + e <= qmax, and n factors of root (a, b) add e to q and (n*a, n*b)
-    to the color degrees, one shift of the key made once per root and
-    table entry.  Plain integer counting, no series arithmetic; one series
-    is built at the end.
+    to the color degrees: the layer times the table's count goes to
+    layer q + e, shifted by (n*a * stride + n*b) * width bits.  Plain
+    integer counting, no series arithmetic; one series is built at the end.
+
+    The width is the bit length of the largest layer total, from the same
+    fold at y1 = y2 = 1.  It is enough: every count is >= 0, and a slot
+    holds a count over the roots folded so far, so at most the final count
+    at its key, because every fold still to come has constant term 1 (the
+    empty partition) and non-negative terms; a final count is at most its
+    layer's total.  So no slot carries into the next.
     """
     validate_trunc(qmax)
     table = _partition_table(qmax)
-    rows = max(a for a, _b in POSITIVE_ROOTS) * qmax + 1
     stride = max(b for _a, b in POSITIVE_ROOTS) * qmax + 1
-    block = rows * stride
-    states: dict[int, int] = {0: 1}
+    totals = [1] + [0] * qmax
+    for _root in POSITIVE_ROOTS:
+        folded = [0] * (qmax + 1)
+        for q, total in enumerate(totals):
+            for (e, _n), k in table.items():
+                if e > qmax - q:
+                    break
+                folded[q + e] += total * k
+        totals = folded
+    width = max(totals).bit_length()
+    states = [1] + [0] * qmax
     for a, b in POSITIVE_ROOTS:
-        steps = [(e, (e * rows + n * a) * stride + n * b, k) for (e, n), k in table.items()]
-        folded: dict[int, int] = {}
-        get = folded.get
-        for key, c in states.items():
-            room = qmax - key // block
-            for e, shift, k in steps:
+        steps = [(e, k, (n * a * stride + n * b) * width) for (e, n), k in table.items()]
+        folded = [0] * (qmax + 1)
+        for q, layer in enumerate(states):
+            room = qmax - q
+            for e, k, shift in steps:
                 if e > room:
                     break
-                dst = key + shift
-                folded[dst] = get(dst, 0) + c * k
+                folded[q + e] += layer * k << shift
         states = folded
+    row_bits = stride * width
+    row_mask, slot_mask = (1 << row_bits) - 1, (1 << width) - 1
     terms = {}
-    for key, c in states.items():
-        q, rest = divmod(key, block)
-        terms[q, rest // stride, rest % stride] = c
+    for q, layer in enumerate(states):
+        u = 0
+        while layer:
+            row, v = layer & row_mask, 0
+            while row:
+                c = row & slot_mask
+                if c:
+                    terms[q, u, v] = c
+                row >>= width
+                v += 1
+            layer >>= row_bits
+            u += 1
     return _built(qmax, terms)

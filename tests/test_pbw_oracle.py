@@ -59,9 +59,10 @@ def test_enumeration_equals_product(qmax):
     assert pbw_enumerated(qmax) == product_side(qmax)
 
 
-@pytest.mark.parametrize("qmax", [16, 20, 24])
+@pytest.mark.parametrize("qmax", [16, 20, 24, 32])
 def test_enumeration_equals_product_deep(qmax):
-    # past acceptance criterion 2 (qmax 8): 12.5M, 165M and 1.76G multisets
+    # past acceptance criterion 2 (qmax 8): 12.5M, 165M, 1.76G and 125G
+    # multisets; at qmax 32 both methods pack their layers in 36-bit slots
     assert pbw_enumerated(qmax) == product_side(qmax)
 
 
@@ -70,7 +71,7 @@ def test_enumeration_equals_product_deep(qmax):
 def test_top_corner_of_key_range(method, qmax):
     # the largest degrees a term at q^q reaches are y2^(3q), from q factors
     # of energy 1 on the roots alpha1 + 3alpha2 and 2alpha1 + 3alpha2, and
-    # y1^(2q); both int-keyed methods must keep these keys apart, and no
+    # y1^(2q); both packed methods must keep these slots apart, and no
     # key may pass y2^(3 qmax) or y1^(2 qmax)
     s = method(qmax)
     for q in range(qmax + 1):
