@@ -157,7 +157,17 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     form of `series` (`_pack`), `_slot_width(qmax)` bits per power of q,
     and the totals are turned into the series once (`_from_packed`).  A
     step is then one multiply and a mask to the truncation, and the lowest
-    power a state holds is its lowest set bit.  Masking a move's factor
+    power a state holds is its lowest set bit.  The multiplies start at
+    that power m: with low = coeffs >> m * width, the state shifted down
+    to its lowest slot, and rmasks[m] = mask >> m * width, the integer
+    identity
+
+        coeffs * f & mask == (low * f & rmasks[m]) << m * width
+
+    holds for every f >= 0, since coeffs = low << m * width and mask is
+    the low width * (qmax + 1) bits.  So the close and each step add the
+    right side, and skip the empty low slots of the state in the multiply
+    and the mask; no slot argument below changes.  Masking a move's factor
     drops only its terms past q^qmax, which reach no slot through q^qmax
     of a product.  The packing is exact because no slot through q^qmax can
     reach 2^width, and every count is >= 0, so such a slot holds its true
@@ -178,6 +188,8 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     validate_trunc(qmax)
     width = _slot_width(qmax)
     mask = (1 << width * (qmax + 1)) - 1
+    # rmasks[m] keeps the slots through q^(qmax - m)
+    rmasks = [mask >> m * width for m in range(qmax + 1)]
     # inv[d] is 1/(q)_d through q^qmax, packed
     coeffs = [1] + [0] * qmax
     inv = [1]
@@ -222,7 +234,10 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
             if entry is None:
                 entry = moves[pair] = [None, 1 if pair == start else product(divmod(pair, Z))]
             steps, close = entry
-            totals[uv] = totals.get(uv, 0) + (coeffs * close & mask)
+            # multiply from the state's lowest slot m up: see the docstring
+            m = ((coeffs & -coeffs).bit_length() - 1) // width
+            low, rmask, shift = coeffs >> m * width, rmasks[m], m * width
+            totals[uv] = totals.get(uv, 0) + ((low * close & rmask) << shift)
             if capped and not left:
                 continue
             if steps is None:
@@ -232,11 +247,11 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
                     diffs = (x - y, y - z) if a is None else (a - a2, pz - x, x - y, y - z)
                     delta = ((a2 * V + x + y + z) * L - capped) * P + a2 * Z + z
                     steps.append((e, a2 + x + y + z, delta, product(diffs) << e * width & mask))
-            cap = qmax - ((coeffs & -coeffs).bit_length() - 1) // width
+            cap = qmax - m
             for e, step, delta, factor in steps:
                 if e > cap:
                     break
                 target = layers[n + step]
                 nkey = base + delta
-                target[nkey] = target.get(nkey, 0) + (coeffs * factor & mask)
+                target[nkey] = target.get(nkey, 0) + ((low * factor & rmask) << shift)
     return _from_packed(qmax, width, {divmod(uv, V): total for uv, total in totals.items()})

@@ -26,7 +26,9 @@ The two packed kernels, the fermionic sum and the basis count, hold a
 truncated q-coefficient list as one int with a fixed-width slot per power
 of q (Kronecker substitution).  That format lives here: `_slot_width` sizes
 the slots, `_pack` and `_slots` convert, and `_from_packed` builds a series
-from packed totals.
+from packed totals.  Most of a kernel's packed int is empty low slots, so
+`_slots` and `_from_packed` start their walk at the lowest nonzero slot,
+found from the lowest set bit, and pass the empty ones with one shift.
 """
 
 from collections.abc import Iterator, Mapping
@@ -214,9 +216,14 @@ def _pack(coeffs, width: int) -> int:
 
 def _slots(packed: int, width: int) -> Iterator[tuple[int, int]]:
     """Yield (j, slot j) for each nonzero `width`-bit slot of `packed`,
-    lowest first; `packed` must be >= 0."""
+    lowest first; `packed` must be >= 0.  The walk starts at the lowest
+    nonzero slot, found from the lowest set bit, so the empty slots below
+    it cost one shift in all."""
+    if not packed:
+        return
     slot = (1 << width) - 1
-    j = 0
+    j = ((packed & -packed).bit_length() - 1) // width
+    packed >>= j * width
     while packed:
         c = packed & slot
         if c:
@@ -233,13 +240,24 @@ def _from_packed(trunc: int, width: int, totals: Mapping[tuple[int, int], int]) 
     int > 0, so the series goes to `_built` without the constructor's
     per-key checks.  A total with a bit past slot `trunc` would make a key
     beyond the truncation (a carry that escaped the mask), so it raises
-    OutOfTruncation.
+    OutOfTruncation.  Each nonzero total is shifted down to its lowest
+    nonzero slot once, found from the lowest set bit, and walked slot by
+    slot from there; a zero total stores nothing.
     """
     bits = width * (trunc + 1)
+    slot = (1 << width) - 1
     terms: dict[tuple[int, int, int], int] = {}
     for (u, v), total in totals.items():
         if total.bit_length() > bits:
             raise OutOfTruncation(f"packed total at y1^{u} y2^{v} has bits past slot {trunc}")
-        for q, c in _slots(total, width):
-            terms[q, u, v] = c
+        if not total:
+            continue
+        q = ((total & -total).bit_length() - 1) // width
+        total >>= q * width
+        while total:
+            c = total & slot
+            if c:
+                terms[q, u, v] = c
+            total >>= width
+            q += 1
     return _built(trunc, terms)

@@ -3,6 +3,8 @@ import pickle
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import colored_partition_counts
 from qpchar.fermionic import ModuleSpec, character_fermionic
@@ -280,3 +282,38 @@ def test_from_packed_builds_the_series_of_its_slots():
     assert _from_packed(trunc, width, {(0, 0): 1 << width * (trunc + 1) - 1}).coeff((3, 0, 0)) == 8
     with pytest.raises(OutOfTruncation):
         _from_packed(trunc, width, {(1, 0): 1, (0, 0): 1 << width * (trunc + 1)})
+
+
+@st.composite
+def slot_lists(draw):
+    """(trunc, width, cs): trunc + 1 slot values below 2^width, often with
+    a run of empty low slots, or one of the edge shapes: all empty, only
+    slot 0, only slot trunc, or slot trunc full."""
+    width, trunc = draw(st.integers(1, 45)), draw(st.integers(0, 40))
+    full = (1 << width) - 1
+    value = st.one_of(st.just(0), st.just(1), st.just(full), st.integers(0, full))
+    cs = [0] * (trunc + 1)
+    shape = draw(st.sampled_from(["low run", "empty", "slot 0", "slot trunc", "full slot trunc"]))
+    if shape == "low run":
+        lo = draw(st.integers(0, trunc + 1))
+        cs[lo:] = draw(st.lists(value, min_size=trunc + 1 - lo, max_size=trunc + 1 - lo))
+    elif shape == "slot 0":
+        cs[0] = draw(st.integers(1, full))
+    elif shape == "slot trunc":
+        cs[trunc] = draw(st.integers(1, full))
+    elif shape == "full slot trunc":
+        cs[trunc] = full
+    return trunc, width, cs
+
+
+@settings(max_examples=500, deadline=None)
+@given(slot_lists(), st.tuples(st.integers(0, 80), st.integers(0, 120)))
+def test_codec_round_trips_every_slot(case, uv):
+    trunc, width, cs = case
+    packed = _pack(cs, width)
+    # the int with slot j at bits j * width up, built without the codec
+    assert packed == int("".join(format(c, f"0{width}b") for c in reversed(cs)), 2)
+    nonzero = [(j, c) for j, c in enumerate(cs) if c]
+    assert list(_slots(packed, width)) == nonzero
+    u, v = uv
+    assert _from_packed(trunc, width, {uv: packed}) == TruncatedSeries(trunc, {(j, u, v): c for j, c in nonzero})

@@ -51,7 +51,7 @@ ALLOWED: dict[str, set[tuple[str, str]]] = {
     "fermionic": {("series", n) for n in {"TruncatedSeries", "validate_trunc", *_CODEC}},
     "partitions": set(),
     # one lister, shared with the conjugation check; one store, `_built`;
-    # the int-keyed PBW dicts use no codec
+    # the packed PBW layers use no codec
     "pbw_oracle": {
         ("partitions", "_partitions_of"),
         ("series", "TruncatedSeries"), ("series", "_built"), ("series", "validate_trunc"),
