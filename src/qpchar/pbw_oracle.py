@@ -28,12 +28,14 @@ coefficient of q^q y1^u y2^v is the `width`-bit slot u * stride + v of
 layer q, so a monomial factor y1^a y2^b is one left shift of a layer by
 (a * stride + b) * width bits.  The stride comes from `POSITIVE_ROOTS`: a
 monomial within qmax has at most qmax factors, so v <= max(b) qmax < stride
-and no slot spills into the next y1 row.  Each method sizes its own slots
-by running its own loop once more at y1 = y2 = 1, and argues in its
-docstring why no slot carries into the next.  Neither uses the packed
-format of `series`.  Both split each layer into rows of stride slots and
-the rows into slots once, at the end, and end in `series._built`: their
-counts are positive and their keys int triples within qmax.
+and no slot spills into the next y1 row.  Each method's loop takes the
+width as its argument, and the method sizes its slots by running that
+loop at width 0, where every monomial of a layer falls in slot 0; it
+argues in its docstring why no slot carries into the next.  Neither uses
+the packed format of `series`.  Both split each layer into rows of stride
+slots and the rows into slots once, at the end, and end in
+`series._built`: their counts are positive and their keys int triples
+within qmax.
 """
 
 from collections import Counter
@@ -56,26 +58,27 @@ def product_side(qmax: int) -> TruncatedSeries:
     layer it reads, already divided, by (a * stride + b) * width bits.
 
     The width is the bit length of the largest layer total, from the same
-    sweep at y1 = y2 = 1.  It is enough: every coefficient is >= 0, and a
-    slot holds a coefficient of a partial product, so at most the final
-    coefficient at its key, because every factor still to come has constant
-    term 1 and non-negative terms; a final coefficient is at most its
-    layer's total.  So no slot carries into the next.
+    sweep at width 0, where every monomial of a layer falls in slot 0.  It
+    is enough: every coefficient is >= 0, and a slot holds a coefficient of
+    a partial product, so at most the final coefficient at its key, because
+    every factor still to come has constant term 1 and non-negative terms;
+    a final coefficient is at most its layer's total.  So no slot carries
+    into the next.
     """
     validate_trunc(qmax)
     stride = max(b for _a, b in POSITIVE_ROOTS) * qmax + 1
-    totals = [1] + [0] * qmax
-    for _root in POSITIVE_ROOTS:
-        for m in range(1, qmax + 1):
-            for q in range(m, qmax + 1):
-                totals[q] += totals[q - m]
-    width = max(totals).bit_length()
-    layers = [1] + [0] * qmax
-    for a, b in POSITIVE_ROOTS:
-        shift = (a * stride + b) * width
-        for m in range(1, qmax + 1):
-            for q in range(m, qmax + 1):
-                layers[q] += layers[q - m] << shift
+
+    def divided(width):
+        layers = [1] + [0] * qmax
+        for a, b in POSITIVE_ROOTS:
+            shift = (a * stride + b) * width
+            for m in range(1, qmax + 1):
+                for q in range(m, qmax + 1):
+                    layers[q] += layers[q - m] << shift
+        return layers
+
+    width = max(divided(0)).bit_length()
+    layers = divided(width)
     row_bits = stride * width
     row_mask, slot_mask = (1 << row_bits) - 1, (1 << width) - 1
     terms = {}
@@ -119,36 +122,33 @@ def pbw_enumerated(qmax: int) -> TruncatedSeries:
     integer counting, no series arithmetic; one series is built at the end.
 
     The width is the bit length of the largest layer total, from the same
-    fold at y1 = y2 = 1.  It is enough: every count is >= 0, and a slot
-    holds a count over the roots folded so far, so at most the final count
-    at its key, because every fold still to come has constant term 1 (the
-    empty partition) and non-negative terms; a final count is at most its
-    layer's total.  So no slot carries into the next.
+    fold at width 0, where every monomial of a layer falls in slot 0.  It
+    is enough: every count is >= 0, and a slot holds a count over the roots
+    folded so far, so at most the final count at its key, because every
+    fold still to come has constant term 1 (the empty partition) and
+    non-negative terms; a final count is at most its layer's total.  So no
+    slot carries into the next.
     """
     validate_trunc(qmax)
     table = _partition_table(qmax)
     stride = max(b for _a, b in POSITIVE_ROOTS) * qmax + 1
-    totals = [1] + [0] * qmax
-    for _root in POSITIVE_ROOTS:
-        folded = [0] * (qmax + 1)
-        for q, total in enumerate(totals):
-            for (e, _n), k in table.items():
-                if e > qmax - q:
-                    break
-                folded[q + e] += total * k
-        totals = folded
-    width = max(totals).bit_length()
-    states = [1] + [0] * qmax
-    for a, b in POSITIVE_ROOTS:
-        steps = [(e, k, (n * a * stride + n * b) * width) for (e, n), k in table.items()]
-        folded = [0] * (qmax + 1)
-        for q, layer in enumerate(states):
-            room = qmax - q
-            for e, k, shift in steps:
-                if e > room:
-                    break
-                folded[q + e] += layer * k << shift
-        states = folded
+
+    def folded(width):
+        states = [1] + [0] * qmax
+        for a, b in POSITIVE_ROOTS:
+            steps = [(e, k, (n * a * stride + n * b) * width) for (e, n), k in table.items()]
+            grown = [0] * (qmax + 1)
+            for q, layer in enumerate(states):
+                room = qmax - q
+                for e, k, shift in steps:
+                    if e > room:
+                        break
+                    grown[q + e] += layer * k << shift
+            states = grown
+        return states
+
+    width = max(folded(0)).bit_length()
+    states = folded(width)
     row_bits = stride * width
     row_mask, slot_mask = (1 << row_bits) - 1, (1 << width) - 1
     terms = {}

@@ -135,7 +135,11 @@ def test_pbw_enumerated_rejects_bad_truncation(monkeypatch, qmax, error):
         pbw_enumerated(qmax)
 
 
-def test_specialization_counts_colored_partitions():
+@pytest.mark.parametrize("method", [product_side, pbw_enumerated])
+@pytest.mark.parametrize("qmax", [0, 8, 24])
+def test_specialization_counts_colored_partitions(method, qmax):
     # y1 = y2 = 1 turns the product into the 6-colored partition generating
-    # function; compare with an independent one-variable recurrence
-    assert product_side(8).counts_by_q() == colored_partition_counts(8)
+    # function; compare with an independent one-variable recurrence.  That
+    # image is also what each method's loop computes at width 0 to size its
+    # slots
+    assert method(qmax).counts_by_q() == colored_partition_counts(qmax)
