@@ -125,19 +125,23 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     product prod_d 1/(q)_d is multiplied out of that table the first time
     its differences occur and looked up by them after that.
 
-    A state is keyed by one int, ((u V + v) L + left) P + pair, with
-    V = 3 qmax + 1, L = k + 1 at level k (1 without a cap), pair = a Z + z
-    for Z one more than the largest x of a block, and the start state the
-    last pair id, P - 1.  The fields never carry into each other: a nonzero
-    block has a <= 2e and x + y + z <= 3e (e >= a^2/4 is an integer >= 1,
-    and 3e - x - y - z is 3a^2 plus 3w^2 - (3a+1)w >= -a^2 for each w of
-    x, y, z), and every state lies on a path of total share <= qmax, so
-    u <= 2 qmax and v <= 3 qmax.  Totals are keyed by u V + v.
+    The states are held in layers by y1 + y2 degree n, so a state's y2
+    degree is n - u.  Within its layer a state is keyed by one int,
+    (u L + left) P + pair, with L = k + 1 at level k (1 without a cap),
+    pair = a Z + z for Z one more than the largest x of a block, and the
+    start state the last pair id, P - 1.  L and P bound their fields by
+    construction and u is the top field, so the fields never carry into
+    each other.  Once a layer is processed, its place in the list holds
+    the layer's totals, keyed by u.  Every state lies on a path of total
+    share <= qmax, and a block of share e climbs a + x + y + z layers, so
+    a path climbs at most qmax times the steepest climb per share: the
+    list runs through that many layers, read from the blocks.  A longer
+    climb would index past the list and raise, not merge keys.
 
     Each last-counts pair (a, z) has its own move list: the blocks a step
     from it may append (`_move_blocks`), sorted by share, each with its
     share e, its layer step a' + x + y + z, its key delta
-    (a' V + x + y + z) L P - P (without the - P uncapped) + a' Z + z', and
+    (a' L - 1) P + a' Z + z' (without the - 1 uncapped), and
     its factor q^e prod_d 1/(q)_d, already shifted and masked, so a step
     adds the delta to the key less its pair.  A state stops at the first
     move over qmax less its lowest power.  A pair's list is made once, at
@@ -207,11 +211,11 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
         return poch
 
     blocks = _blocks(qmax)
-    # a state's key is ((u * V + v) * L + left) * P + pair, pair = a * Z + z
+    # a state's key in its layer is (u * L + left) * P + pair, pair = a * Z + z
     # or the start state's own last id
     Z = 1 + max((x for _e, _a, x, _y, _z in blocks), default=0)
     start = Z * (1 + max((a for _e, a, _x, _y, _z in blocks), default=0))
-    P, V = start + 1, 3 * qmax + 1
+    P = start + 1
     capped = spec.level is not None
     L = spec.level + 1 if capped else 1
     # the share of the cheapest block ending in each pair, the first in
@@ -220,16 +224,17 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     # pair -> [the moves (e, layer step, key delta, factor) sorted by share,
     # or None before the first step from the pair, closing factor]
     moves: list[list | None] = [None] * P
-    # states by y1 + y2 degree; the start state has no block yet
-    layers: list[dict[int, int] | None] = [{} for _ in range(5 * qmax + 1)]
+    # states by y1 + y2 degree, through the steepest climb a path of total
+    # share <= qmax can make; the start state has no block yet
+    layers = [{} for _ in range(1 + max((qmax * (a + x + y + z) // e for e, a, x, y, z in blocks), default=0))]
     layers[0][(L - 1) * P + start] = 1
-    totals: dict[int, int] = {}
     for n in range(len(layers)):
-        layer, layers[n] = layers[n], None
+        layer = layers[n]
+        totals = layers[n] = {}
         for key, coeffs in layer.items():
             pair = key % P
             base = key - pair
-            uv, left = divmod(base // P, L)
+            u, left = divmod(base // P, L)
             entry = moves[pair]
             if entry is None:
                 entry = moves[pair] = [None, 1 if pair == start else product(divmod(pair, Z))]
@@ -237,7 +242,7 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
             # multiply from the state's lowest slot m up: see the docstring
             m = ((coeffs & -coeffs).bit_length() - 1) // width
             low, rmask, shift = coeffs >> m * width, rmasks[m], m * width
-            totals[uv] = totals.get(uv, 0) + ((low * close & rmask) << shift)
+            totals[u] = totals.get(u, 0) + ((low * close & rmask) << shift)
             if capped and not left:
                 continue
             if steps is None:
@@ -245,7 +250,7 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
                 steps = entry[0] = []
                 for e, a2, x, y, z in _move_blocks(blocks, a, pz, qmax - least.get(pair, 0)):
                     diffs = (x - y, y - z) if a is None else (a - a2, pz - x, x - y, y - z)
-                    delta = ((a2 * V + x + y + z) * L - capped) * P + a2 * Z + z
+                    delta = (a2 * L - capped) * P + a2 * Z + z
                     steps.append((e, a2 + x + y + z, delta, product(diffs) << e * width & mask))
             cap = qmax - m
             for e, step, delta, factor in steps:
@@ -254,4 +259,4 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
                 target = layers[n + step]
                 nkey = base + delta
                 target[nkey] = target.get(nkey, 0) + ((low * factor & rmask) << shift)
-    return _from_packed(qmax, width, {divmod(uv, V): total for uv, total in totals.items()})
+    return _from_packed(qmax, width, {(u, n - u): t for n, totals in enumerate(layers) for u, t in totals.items()})

@@ -270,9 +270,7 @@ def _color2_charge_lists(n1: Partition, budget: int, cap: int | None) -> Iterato
     can be negative, so a prefix takes charge c at position p only if its
     cost plus f_p(c) plus the floor `least[c][p + 1]` of `_color2_floor`
     fits the budget.  The charges run through the range of the floor
-    tables, each at most the one before.  Once X has stopped growing, f_p
-    grows with c and least stays put, so there a charge that does not fit
-    ends the position's charges.
+    tables, each at most the one before.
     """
     xs, least = _color2_floor(n1, budget, cap)
     n2: list[int] = []
@@ -287,8 +285,6 @@ def _color2_charge_lists(n1: Partition, budget: int, cap: int | None) -> Iterato
                 n2.append(c)
                 yield from grow(cost)
                 n2.pop()
-            elif xs[c] == xs[-1]:
-                break
 
     return grow(0)
 

@@ -322,7 +322,9 @@ def test_monotone_in_level():
         assert _leq(lo, hi)
 
 
-@pytest.mark.parametrize("qmax", [0, 1, 2, 3, 4])
+# at qmax 20 the level-20 keys have a 21-value blocks-left field, the widest
+# the tests reach
+@pytest.mark.parametrize("qmax", [0, 1, 2, 3, 4, 12, 20])
 def test_stabilization_iff_level_reaches_truncation(qmax):
     verma = character_fermionic(V, qmax)
     level = max(qmax, 1)
@@ -349,10 +351,11 @@ def test_support_bounds():
 @pytest.mark.parametrize("level", [1, 2, 3, 6, None])
 def test_top_corner_of_key_range(level, qmax):
     # q y1^2 y2^3 comes from the block (a, x, y, z) = (2, 1, 1, 1) of share
-    # 1 alone, and q blocks of it give the corner q^q y1^(2q) y2^(3q), whose
-    # y2 degree is the largest a state key holds; at level k a state may
-    # hold at most k blocks, so the corner is 0 past q = k.  A stride one
-    # short, or a blocks-left field that never counts down, moves it.
+    # 1 alone, and q blocks of it give the corner q^q y1^(2q) y2^(3q), which
+    # sits in the last layer, y1 + y2 = 5 qmax at q = qmax; at level k a
+    # state may hold at most k blocks, so the corner is 0 past q = k.  A
+    # layer list one short, a field L or P one short, or a blocks-left
+    # field that never counts down, moves it.
     s = character_fermionic(ModuleSpec(level), qmax)
     for q in range(qmax + 1):
         assert s.coeff((q, 2 * q, 3 * q)) == (1 if level is None or q <= level else 0), q

@@ -111,7 +111,8 @@ def test_product_equals_fermionic_verma_qmax24():
 
 
 def test_product_equals_fermionic_verma_qmax32():
-    # both sides key their states by ints whose strides grow with qmax
+    # both sides key their states by ints: the PBW strides and the fermionic
+    # pair field and layer list grow with qmax
     assert product_side(32) == character_fermionic(ModuleSpec(), 32)
 
 
