@@ -94,12 +94,12 @@ def _blocks(qmax: int) -> list[tuple[int, int, int, int, int]]:
     return sorted(blocks)
 
 
-def _move_blocks(blocks, a: int | None, z: int | None, high: int) -> list[tuple[int, int, int, int, int]]:
+def _move_blocks(blocks, a: int, z: int, high: int) -> list[tuple[int, int, int, int, int]]:
     """The blocks (e, a', x, y, z') of `blocks` with share e <= high that a
     step may append to a state whose last block has color-1 count a and
-    last color-2 count z: those with a' <= a and x <= z, or every one for
-    the start state (a and z None), in the order of `blocks`."""
-    return [b for b in blocks[:bisect(blocks, (high + 1,))] if a is None or (b[1] <= a and b[2] <= z)]
+    last color-2 count z: those with a' <= a and x <= z, in the order of
+    `blocks`."""
+    return [b for b in blocks[:bisect(blocks, (high + 1,))] if b[1] <= a and b[2] <= z]
 
 
 def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
@@ -115,7 +115,10 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     q^(its exponent share) and by 1/(q)_d for the new differences
     a - a', z - x, x - y, y - z'.  Closing a state multiplies by
     1/(q)_a (q)_z, the last differences taken against zero, and adds it to
-    the total of its (y1, y2) degree.
+    the total of its (y1, y2) degree.  The first block of a sequence has no
+    block before it, so each one is seeded straight into its state with
+    q^e / (q)_{x-y} (q)_{y-z} alone; the empty sequence is the constant
+    term 1, the total of degree (0, 0).
 
     Every nonzero block raises y1 + y2, so taking states in increasing
     y1 + y2 closes each one after everything that feeds it.  The factors
@@ -128,8 +131,8 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     The states are held in layers by y1 + y2 degree n, so a state's y2
     degree is n - u.  Within its layer a state is keyed by one int,
     (u L + left) P + pair, with L = k + 1 at level k (1 without a cap),
-    pair = a Z + z for Z one more than the largest x of a block, and the
-    start state the last pair id, P - 1.  L and P bound their fields by
+    pair = a Z + z for Z one more than the largest x of a block, and
+    P = Z (1 + the largest a of a block).  L and P bound their fields by
     construction and u is the top field, so the fields never carry into
     each other.  Once a layer is processed, its place in the list holds
     the layer's totals, keyed by u.  Every state lies on a path of total
@@ -147,15 +150,14 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
     move over qmax less its lowest power.  A pair's list is made once, at
     the first step from the pair, and holds the moves of share
     e <= qmax - least, where least is the share of the cheapest block
-    ending in (a, z) (0 for the start state).
+    ending in (a, z).
     That is every move a state of the pair may take: each move's factor is
     q^e times a series with constant term 1 and no negative coefficient,
     so a state's lowest power is the smallest sum of shares over the block
     sequences reaching it, and each such sum is at least its last block's
-    share, so at least `least`.  A pair no state steps from gets no list.
-    Only at level 1 is there such a pair: any block that ends a sequence
-    within qmax is a first move within qmax, so from level 2 on each pair
-    is reached by a state that may still step.
+    share, so at least `least`.  A pair no state steps from gets no list:
+    at level 1 no state steps, so no list is made.  From level 2 on, each
+    pair of a block is reached by a first-block state that may still step.
 
     States, totals, the factors and their products are held in the packed
     form of `series` (`_pack`), `_slot_width(qmax)` bits per power of q,
@@ -212,22 +214,25 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
 
     blocks = _blocks(qmax)
     # a state's key in its layer is (u * L + left) * P + pair, pair = a * Z + z
-    # or the start state's own last id
     Z = 1 + max((x for _e, _a, x, _y, _z in blocks), default=0)
-    start = Z * (1 + max((a for _e, a, _x, _y, _z in blocks), default=0))
-    P = start + 1
+    P = Z * (1 + max((a for _e, a, _x, _y, _z in blocks), default=0))
     capped = spec.level is not None
     L = spec.level + 1 if capped else 1
-    # the share of the cheapest block ending in each pair, the first in
-    # `blocks`; the start state, which ends no block, reads 0
+    # the share of the cheapest block ending in each pair, the first in `blocks`
     least = {a * Z + z: e for e, a, _x, _y, z in reversed(blocks)}
-    # pair -> [the moves (e, layer step, key delta, factor) sorted by share,
-    # or None before the first step from the pair, closing factor]
+    # by pair: the closing factor 1/(q)_a (q)_z, and the moves (e, layer step,
+    # key delta, factor) sorted by share, None before the first step from it
+    closes = [product(divmod(pair, Z)) for pair in range(P)]
     moves: list[list | None] = [None] * P
     # states by y1 + y2 degree, through the steepest climb a path of total
-    # share <= qmax can make; the start state has no block yet
+    # share <= qmax can make
     layers = [{} for _ in range(1 + max((qmax * (a + x + y + z) // e for e, a, x, y, z in blocks), default=0))]
-    layers[0][(L - 1) * P + start] = 1
+    # the first blocks: u = a, k - 1 blocks left at level k (0 uncapped), and
+    # no block before, so only the differences x - y and y - z
+    for e, a, x, y, z in blocks:
+        target = layers[a + x + y + z]
+        key = (a * L + L - 1 - capped) * P + a * Z + z
+        target[key] = target.get(key, 0) + (product((x - y, y - z)) << e * width & mask)
     for n in range(len(layers)):
         layer = layers[n]
         totals = layers[n] = {}
@@ -235,23 +240,19 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
             pair = key % P
             base = key - pair
             u, left = divmod(base // P, L)
-            entry = moves[pair]
-            if entry is None:
-                entry = moves[pair] = [None, 1 if pair == start else product(divmod(pair, Z))]
-            steps, close = entry
             # multiply from the state's lowest slot m up: see the docstring
             m = ((coeffs & -coeffs).bit_length() - 1) // width
             low, rmask, shift = coeffs >> m * width, rmasks[m], m * width
-            totals[u] = totals.get(u, 0) + ((low * close & rmask) << shift)
+            totals[u] = totals.get(u, 0) + ((low * closes[pair] & rmask) << shift)
             if capped and not left:
                 continue
+            steps = moves[pair]
             if steps is None:
-                a, pz = (None, None) if pair == start else divmod(pair, Z)
-                steps = entry[0] = []
-                for e, a2, x, y, z in _move_blocks(blocks, a, pz, qmax - least.get(pair, 0)):
-                    diffs = (x - y, y - z) if a is None else (a - a2, pz - x, x - y, y - z)
+                a, pz = divmod(pair, Z)
+                steps = moves[pair] = []
+                for e, a2, x, y, z in _move_blocks(blocks, a, pz, qmax - least[pair]):
                     delta = (a2 * L - capped) * P + a2 * Z + z
-                    steps.append((e, a2 + x + y + z, delta, product(diffs) << e * width & mask))
+                    steps.append((e, a2 + x + y + z, delta, product((a - a2, pz - x, x - y, y - z)) << e * width & mask))
             cap = qmax - m
             for e, step, delta, factor in steps:
                 if e > cap:
@@ -259,4 +260,6 @@ def character_fermionic(spec: ModuleSpec, qmax: int) -> TruncatedSeries:
                 target = layers[n + step]
                 nkey = base + delta
                 target[nkey] = target.get(nkey, 0) + ((low * factor & rmask) << shift)
+    # the empty sequence: the constant term
+    layers[0] = {0: 1}
     return _from_packed(qmax, width, {(u, n - u): t for n, totals in enumerate(layers) for u, t in totals.items()})

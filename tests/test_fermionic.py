@@ -203,17 +203,16 @@ def test_block_recursion_matches_pair_sum_at_qmax_12(spec):
 
 
 def _reached_pairs(blocks):
-    # the start state, and the last counts (a, z) of every block: each block
-    # within the truncation can be the first one appended
-    return {(None, None)} | {(a, z) for _e, a, _x, _y, z in blocks}
+    # the last counts (a, z) of every block: each block within the
+    # truncation can be the first one
+    return {(a, z) for _e, a, _x, _y, z in blocks}
 
 
 @pytest.mark.parametrize("qmax", range(13))
 def test_move_blocks_are_the_allowed_blocks_by_share(qmax):
     blocks = _blocks(qmax)
     for a, z in _reached_pairs(blocks):
-        # the start state (a None) may append any block
-        want = sorted((e, a2, x, y, w) for e, a2, x, y, w in blocks if a is None or (a2 <= a and x <= z))
+        want = sorted((e, a2, x, y, w) for e, a2, x, y, w in blocks if a2 <= a and x <= z)
         got = _move_blocks(blocks, a, z, qmax)
         assert got == want, (a, z)
         # a lower bound on the share gives a prefix of the list: its moves
@@ -231,9 +230,11 @@ def test_moves_after_zero_counts_are_empty(qmax):
 
 
 def test_moves_at_qmax_zero():
-    # no nonzero block has share 0, so the start state closes alone
+    # no nonzero block has share 0, so no state is seeded and the sum is the
+    # empty sequence's constant term alone
     assert _blocks(0) == []
-    assert _move_blocks(_blocks(0), None, None, 0) == []
+    for spec in (S1, S2, S3, V):
+        assert character_fermionic(spec, 0).terms == {(0, 0, 0): 1}
 
 
 @pytest.mark.parametrize("spec", [S1, V])
@@ -241,7 +242,7 @@ def test_moves_at_qmax_one_clamp_the_closing_difference(spec):
     # the block (a, x, y, z) = (2, 1, 1, 1) has share 1; closing after it
     # takes 1/(q)_2 (q)_1, and 1/(q)_2 is read as 1/(q)_1 at qmax 1
     blocks = _blocks(1)
-    assert (1, 2, 1, 1, 1) in _move_blocks(blocks, None, None, 1)
+    assert (1, 2, 1, 1, 1) in blocks
     # a state after it holds q^1, so its pair's list is made to share 0,
     # and it may append no block
     assert _least(2, 1) == 1
@@ -268,19 +269,22 @@ def test_least_share_closed_form_matches_block_table():
 
 
 def _stepping_pairs(level, qmax):
-    # the start state, and the last counts (a, z) of every block sequence of
-    # total share <= qmax with fewer than `level` blocks (any number without
-    # a level): the pairs of the states a step is taken from.  `reach` maps
-    # the pairs after j blocks to their least total share.
+    # the last counts (a, z) of every block sequence of total share <= qmax
+    # with at least one and fewer than `level` blocks (any number without a
+    # level): the pairs of the states a step is taken from.  `reach` maps
+    # the pairs after j blocks to their least total share, from the first
+    # blocks at j = 1.
     blocks = _blocks(qmax)
-    pairs, reach, j = {(None, None)}, {(None, None): 0}, 0
-    while reach and (level is None or j + 1 < level):
+    reach, pairs, j = {}, set(), 1
+    for e, a, _x, _y, z in blocks:
+        reach[a, z] = min(e, reach.get((a, z), e))
+    while reach and (level is None or j < level):
+        pairs |= set(reach)
         after = {}
         for (a, z), s in reach.items():
             for e, a2, x, _y, w in blocks:
-                if s + e <= qmax and (a is None or (a2 <= a and x <= z)):
+                if s + e <= qmax and a2 <= a and x <= z:
                     after[a2, w] = min(s + e, after.get((a2, w), s + e))
-        pairs |= set(after)
         reach, j = after, j + 1
     return pairs
 
@@ -288,7 +292,8 @@ def _stepping_pairs(level, qmax):
 @pytest.mark.parametrize("spec", [S1, S2, S3, ModuleSpec(6), V])
 def test_move_lists_made_once_to_the_pair_floor(spec, monkeypatch):
     # each pair's move list is made once, at the first step from the pair,
-    # to share qmax - least: no state of the pair holds a power below least
+    # to share qmax - least: no state of the pair holds a power below least.
+    # At level 1 every state is one first block, so none steps.
     calls = []
 
     def spy(blocks, a, z, high):
@@ -302,8 +307,10 @@ def test_move_lists_made_once_to_the_pair_floor(spec, monkeypatch):
         pairs = [(a, z) for a, z, _high in calls]
         assert len(pairs) == len(set(pairs)), qmax
         assert set(pairs) == _stepping_pairs(spec.level, qmax), qmax
+        if spec.level == 1:
+            assert calls == [], qmax
         for a, z, high in calls:
-            assert high == qmax - (0 if a is None else _least(a, z)), (qmax, a, z)
+            assert high == qmax - _least(a, z), (qmax, a, z)
 
 
 @pytest.mark.parametrize("qmax,error", [(-1, ValueError), (2.0, TypeError), (True, TypeError)])
