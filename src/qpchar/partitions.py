@@ -59,11 +59,6 @@ def conjugate(p: Partition) -> Partition:
     return tuple(out)
 
 
-def _entry(p: Partition, t: int) -> int:
-    # 1-based read with zero padding beyond the stored length
-    return p[t - 1] if 1 <= t <= len(p) else 0
-
-
 def diag_energy_from_charges(n: Partition) -> int:
     """Same-color minimal energy from the charge list:
 
@@ -97,14 +92,13 @@ def mixed_energy_from_dual(r1: Partition, r2: Partition) -> int:
     (color 2), grouping color-2 counts in threes:
 
         sum_s r1^(s) * (r2^(3s-2) + r2^(3s-1) + r2^(3s)).
+
+    Counted from 0, block s pairs r1[s] with the slice r2[3s:3s + 3],
+    which reads entries past the stored length as zero.
     """
     validate_partition(r1)
     validate_partition(r2)
-    total = 0
-    for s in range(1, len(r1) + 1):
-        triple = _entry(r2, 3 * s) + _entry(r2, 3 * s - 1) + _entry(r2, 3 * s - 2)
-        total += r1[s - 1] * triple
-    return total
+    return sum(a * sum(r2[3 * s:3 * s + 3]) for s, a in enumerate(r1))
 
 
 def _partitions_of(n: int) -> Iterator[Partition]:

@@ -23,19 +23,12 @@ number of parts): count}, and folds that table over the six roots.  The
 count never touches series arithmetic or the product's division sweep, so
 the two agree only if both are right.
 
-Both hold each q-layer as one int, each with its own arithmetic: the
-coefficient of q^q y1^u y2^v is the `width`-bit slot u * stride + v of
-layer q, so a monomial factor y1^a y2^b is one left shift of a layer by
-(a * stride + b) * width bits.  The stride comes from `POSITIVE_ROOTS`: a
-monomial within qmax has at most qmax factors, so v <= max(b) qmax < stride
-and no slot spills into the next y1 row.  Each method's loop takes the
-width as its argument, and the method sizes its slots by running that
-loop at width 0, where every monomial of a layer falls in slot 0; it
-argues in its docstring why no slot carries into the next.  Neither uses
-the packed format of `series`.  Both split each layer into rows of stride
-slots and the rows into slots once, at the end, and end in
-`series._built`: their counts are positive and their keys int triples
-within qmax.
+Both hold each q-layer as one int, in one format that `_from_layers` sizes
+and decodes: the coefficient of q^q y1^u y2^v is the `width`-bit slot
+u * stride + v of layer q, so a monomial factor y1^a y2^b is one left shift
+of a layer by (a * stride + b) * width bits.  Each method writes only its
+own loop over the layers, as a function of the stride and the width; the
+two loops share no arithmetic.  Neither uses the packed format of `series`.
 """
 
 from collections import Counter
@@ -47,42 +40,27 @@ from .series import TruncatedSeries, _built, validate_trunc
 POSITIVE_ROOTS: tuple[tuple[int, int], ...] = ((0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3))
 
 
-def product_side(qmax: int) -> TruncatedSeries:
-    """The six-fold Euler product, one geometric factor per root and q-step.
+def _from_layers(qmax: int, loop) -> TruncatedSeries:
+    """The series whose q-layers `loop(stride, width)` returns packed.
 
-    Each factor 1/(1 - t), t = q^m y1^a y2^b, is divided out of the series
-    1 in place.  `layers[q]` is one int whose `width`-bit slot
-    u * stride + v holds the coefficient of q^q y1^u y2^v; a term at q^q
-    has at most q factors, so v <= max(b) q < stride.  Dividing by 1 - t is
-    the single sweep c[q] += t * c[q - m] in increasing q, which shifts the
-    layer it reads, already divided, by (a * stride + b) * width bits.
-
-    The width is the bit length of the largest layer total, from the same
-    sweep at width 0, where every monomial of a layer falls in slot 0.  It
-    is enough: every coefficient is >= 0, and a slot holds a coefficient of
-    a partial product, so at most the final coefficient at its key, because
-    every factor still to come has constant term 1 and non-negative terms;
-    a final coefficient is at most its layer's total.  So no slot carries
-    into the next.
+    A monomial within qmax has at most qmax factors, so its y2 degree is
+    v <= max(b) qmax < stride, the stride taken from `POSITIVE_ROOTS`, and
+    no slot spills into the next y1 row.  The width is the bit length of
+    the largest layer total, from the loop at width 0, where every monomial
+    of a layer falls in slot 0.  It is enough when, as in both methods,
+    every count is >= 0 and every step still to come has constant term 1
+    and non-negative terms: then a slot is at most the final coefficient at
+    its key, which is at most its layer's total, so no slot carries into
+    the next.  Each layer is split into rows of stride slots, and each row
+    into slots; the counts are positive and the keys int triples within
+    qmax, so the series is built by `series._built`.
     """
-    validate_trunc(qmax)
     stride = max(b for _a, b in POSITIVE_ROOTS) * qmax + 1
-
-    def divided(width):
-        layers = [1] + [0] * qmax
-        for a, b in POSITIVE_ROOTS:
-            shift = (a * stride + b) * width
-            for m in range(1, qmax + 1):
-                for q in range(m, qmax + 1):
-                    layers[q] += layers[q - m] << shift
-        return layers
-
-    width = max(divided(0)).bit_length()
-    layers = divided(width)
+    width = max(loop(stride, 0)).bit_length()
     row_bits = stride * width
     row_mask, slot_mask = (1 << row_bits) - 1, (1 << width) - 1
     terms = {}
-    for q, layer in enumerate(layers):
+    for q, layer in enumerate(loop(stride, width)):
         u = 0
         while layer:
             row, v = layer & row_mask, 0
@@ -95,6 +73,30 @@ def product_side(qmax: int) -> TruncatedSeries:
             layer >>= row_bits
             u += 1
     return _built(qmax, terms)
+
+
+def product_side(qmax: int) -> TruncatedSeries:
+    """The six-fold Euler product, one geometric factor per root and q-step.
+
+    Each factor 1/(1 - t), t = q^m y1^a y2^b, is divided out of the series
+    1 in place, in the packed layers of `_from_layers`.  Dividing by 1 - t
+    is the single sweep c[q] += t * c[q - m] in increasing q, which shifts
+    the layer it reads, already divided, by (a * stride + b) * width bits.
+    Every factor still to come, 1/(1 - t) = 1 + t + t^2 + ..., has
+    constant term 1 and non-negative terms, as `_from_layers` asks.
+    """
+    validate_trunc(qmax)
+
+    def divided(stride, width):
+        layers = [1] + [0] * qmax
+        for a, b in POSITIVE_ROOTS:
+            shift = (a * stride + b) * width
+            for m in range(1, qmax + 1):
+                for q in range(m, qmax + 1):
+                    layers[q] += layers[q - m] << shift
+        return layers
+
+    return _from_layers(qmax, divided)
 
 
 def _partition_table(qmax: int) -> dict[tuple[int, int], int]:
@@ -112,28 +114,20 @@ def pbw_enumerated(qmax: int) -> TruncatedSeries:
     The energies of one root's factors form a partition, chosen
     independently of the other roots.  So the count takes the table of
     partitions by (energy e, number of parts n) once, and folds the roots in
-    generator order over running states, a list by energy q whose entry is
-    one int: its `width`-bit slot u * stride + v counts the multisets at
-    q^q y1^u y2^v, and a multiset of energy q has at most q factors, so
-    v <= max(b) q < stride.  A layer at q meets every (e, n) with
+    generator order over running states, a list by energy q of the packed
+    layers of `_from_layers`: slot u * stride + v of layer q counts the
+    multisets at q^q y1^u y2^v.  A layer at q meets every (e, n) with
     q + e <= qmax, and n factors of root (a, b) add e to q and (n*a, n*b)
     to the color degrees: the layer times the table's count goes to
     layer q + e, shifted by (n*a * stride + n*b) * width bits.  Plain
-    integer counting, no series arithmetic; one series is built at the end.
-
-    The width is the bit length of the largest layer total, from the same
-    fold at width 0, where every monomial of a layer falls in slot 0.  It
-    is enough: every count is >= 0, and a slot holds a count over the roots
-    folded so far, so at most the final count at its key, because every
-    fold still to come has constant term 1 (the empty partition) and
-    non-negative terms; a final count is at most its layer's total.  So no
-    slot carries into the next.
+    integer counting, no series arithmetic.  Every fold still to come has
+    constant term 1, the empty partition, and non-negative terms, as
+    `_from_layers` asks.
     """
     validate_trunc(qmax)
     table = _partition_table(qmax)
-    stride = max(b for _a, b in POSITIVE_ROOTS) * qmax + 1
 
-    def folded(width):
+    def folded(stride, width):
         states = [1] + [0] * qmax
         for a, b in POSITIVE_ROOTS:
             steps = [(e, k, (n * a * stride + n * b) * width) for (e, n), k in table.items()]
@@ -147,21 +141,4 @@ def pbw_enumerated(qmax: int) -> TruncatedSeries:
             states = grown
         return states
 
-    width = max(folded(0)).bit_length()
-    states = folded(width)
-    row_bits = stride * width
-    row_mask, slot_mask = (1 << row_bits) - 1, (1 << width) - 1
-    terms = {}
-    for q, layer in enumerate(states):
-        u = 0
-        while layer:
-            row, v = layer & row_mask, 0
-            while row:
-                c = row & slot_mask
-                if c:
-                    terms[q, u, v] = c
-                row >>= width
-                v += 1
-            layer >>= row_bits
-            u += 1
-    return _built(qmax, terms)
+    return _from_layers(qmax, folded)

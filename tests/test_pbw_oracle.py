@@ -81,6 +81,32 @@ def test_top_corner_of_key_range(method, qmax):
     assert max(u for (_q, u, _v) in s.terms) == 2 * qmax
 
 
+@pytest.mark.parametrize("qmax,wanted,widths", [
+    # layer 2 empty; layer 3 has an empty row u = 1 between u = 0 and
+    # u = 2, and a slot in the top row and column, u = 2q, v = 3q
+    (3, {(0, 0, 0): 1, (1, 0, 3): 2, (3, 0, 1): 3, (3, 2, 9): 4, (3, 6, 9): 5}, [0, 4]),
+    (0, {(0, 0, 0): 6}, [0, 3]),
+])
+def test_from_layers_decodes_hand_packed_layers(qmax, wanted, widths):
+    # the shared layer format alone, fed by a loop that shares no maths with
+    # either method: it packs each coefficient at bit (u * stride + v) *
+    # width of layer q, and is sized first at width 0, where the layer
+    # totals are 1, 2, 0, 12 (qmax 3) and 6 (qmax 0)
+    calls = []
+
+    def packed(stride, width):
+        calls.append(width)
+        layers = [0] * (qmax + 1)
+        for (q, u, v), c in wanted.items():
+            layers[q] += c << (u * stride + v) * width
+        return layers
+
+    s = pbw_oracle._from_layers(qmax, packed)
+    assert calls == widths
+    assert s.trunc == qmax
+    assert s.terms == wanted
+
+
 @pytest.mark.parametrize("qmax", range(11))
 def test_pbw_enumerated_matches_leaf_recursion(qmax):
     assert dict(pbw_enumerated(qmax).terms) == brute_pbw_multisets(qmax)
